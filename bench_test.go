@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	battsched "repro"
@@ -430,12 +431,21 @@ func BenchmarkMultiStart(b *testing.B) {
 	}
 }
 
+// workerCounts returns the given pool sizes plus GOMAXPROCS, ascending
+// and without repeats: a repeated sub-benchmark name gets a "#01"
+// suffix, which splits one configuration across two result keys.
+func workerCounts(sizes ...int) []int {
+	ws := append(sizes, runtime.GOMAXPROCS(0))
+	slices.Sort(ws)
+	return slices.Compact(ws)
+}
+
 // BenchmarkMultiStartParallel compares sequential multi-start against
 // the concurrent restart fan-out on G3 (results are bit-identical; this
 // measures the wall-clock effect — near-linear until restarts < cores).
 func BenchmarkMultiStartParallel(b *testing.B) {
 	g := taskgraph.G3()
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+	for _, workers := range workerCounts(1, 2, 4) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			s, err := core.New(g, taskgraph.G3Deadline, core.Options{})
 			if err != nil {
@@ -465,7 +475,7 @@ func BenchmarkBatch(b *testing.B) {
 				MultiStart: core.MultiStartOptions{Restarts: 8, Seed: 1, Workers: 1}})
 		}
 	}
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+	for _, workers := range workerCounts(1, 4) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

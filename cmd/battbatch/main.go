@@ -75,11 +75,9 @@ func run(ctx context.Context, r io.Reader, w io.Writer, workers, cacheEntries in
 	if err != nil {
 		return 0, err
 	}
-	if defaultBattery != nil {
-		for i := range jobs {
-			if parseErrs[i] == nil && jobs[i].Options.Battery == nil && jobs[i].Options.Beta == 0 {
-				jobs[i].Options.Battery = defaultBattery
-			}
+	for i := range jobs {
+		if parseErrs[i] == nil && jobs[i].Options.Battery == nil {
+			jobs[i].Options.Battery = defaultBattery
 		}
 	}
 

@@ -53,19 +53,18 @@ func main() {
 	}
 	// One validated construction path for the cost model: the -battery
 	// spec if given, else the -beta Rakhmatov shorthand as a spec.
-	opt := core.Options{Beta: *beta, RecordTrace: *trace, Approx: *approx}
+	spec := battery.Spec{Kind: battery.KindRakhmatov, Beta: *beta}
 	if *batt != "" {
 		betaSet := false
 		flag.Visit(func(f *flag.Flag) { betaSet = betaSet || f.Name == "beta" })
 		if betaSet {
 			fatal(fmt.Errorf("-beta and -battery are mutually exclusive (use -battery rakhmatov,beta=...)"))
 		}
-		spec, err := battery.ParseSpec(*batt)
-		if err != nil {
+		if spec, err = battery.ParseSpec(*batt); err != nil {
 			fatal(err)
 		}
-		opt = core.Options{Battery: &spec, RecordTrace: *trace, Approx: *approx}
 	}
+	opt := core.Options{Battery: &spec, RecordTrace: *trace, Approx: *approx}
 	model, err := opt.ResolveModel()
 	if err != nil {
 		fatal(err)

@@ -51,32 +51,24 @@ const keyVersion = "battsched-cache-v3"
 //
 // Not cacheable (ok = false): a nil graph, an unknown strategy or an
 // invalid battery spec (the engine's per-job error is cheaper than
-// hashing), and an opaque Options.Model — an interface value has no
-// canonical content to hash. Declarative Options.Battery specs are
-// fully cacheable; the old "custom model ⇒ uncacheable" carve-out
-// applies only to the deprecated Model field.
+// hashing).
 //
 // Key derivation is the whole cost of a cache hit, so it hashes the
 // graph directly (no Spec marshaling) through a reused buffer.
 //
 // The battlint:canonical exclusions below are the result-neutral fields
-// listed above, plus Options.Beta, .SeriesTerms, .Battery and .Model,
-// which ARE hashed — folded into the canonical battery-spec bytes by
-// Options.BatterySpec (a core method, outside the analyzer's
-// same-package view) and k.spec.
+// listed above, plus Options.Battery, which IS hashed — as the canonical
+// spec bytes from Options.BatterySpec (a core method, outside the
+// analyzer's same-package view) and k.spec.
 //
 //battlint:canonical engine.Job -Name -Timeout
-//battlint:canonical core.Options -Beta -SeriesTerms -Battery -Model -RecordTrace -Parallel
+//battlint:canonical core.Options -Battery -RecordTrace -Parallel
 //battlint:canonical core.MultiStartOptions -Workers
 func Key(job engine.Job) (key string, ok bool) {
 	if job.Graph == nil {
 		return "", false
 	}
-	spec, ok := job.Options.BatterySpec()
-	if !ok {
-		// Deprecated opaque Options.Model: nothing canonical to hash.
-		return "", false
-	}
+	spec := job.Options.BatterySpec()
 	if spec.Validate() != nil {
 		return "", false
 	}
@@ -91,7 +83,8 @@ func Key(job engine.Job) (key string, ok bool) {
 
 	// Hash the resolved defaults, not the raw zero values, so a zero
 	// field and its explicit default ({"strategy":"multistart"} vs
-	// "restarts":8, beta 0 vs 0.273) land on the same entry.
+	// "restarts":8, no battery vs the default spec) land on the same
+	// entry.
 	k.spec(spec)
 	o := job.Options.Canonical()
 	k.ints(int(o.InitialOrder), o.MaxIterations,

@@ -59,7 +59,7 @@ func TestKeySpecCacheable(t *testing.T) {
 	if keys["rakhmatov"] != base {
 		t.Fatal("default spec must share the spec-less default's entry")
 	}
-	viaBeta, _ := Key(engine.Job{Graph: taskgraph.G3(), Deadline: 230, Options: core.Options{Beta: 0.35}})
+	viaBeta, _ := Key(wireJob(t, `{"fixture":"g3","deadline":230,"beta":0.35}`))
 	viaSpec, _ := Key(specJob("j", battery.Spec{Kind: battery.KindRakhmatov, Beta: 0.35}))
 	if viaBeta != viaSpec {
 		t.Fatal(`{"beta":0.35} and {"battery":{"kind":"rakhmatov","beta":0.35}} must share an entry`)

@@ -7,8 +7,23 @@ import (
 	"repro/internal/taskgraph"
 )
 
+// schedulerWithModel mints a scheduler costing schedules with a
+// hand-written model through the NewBaseWithModel seam.
+func schedulerWithModel(t *testing.T, g *taskgraph.Graph, d float64, m battery.Model) *Scheduler {
+	t.Helper()
+	base, err := NewBaseWithModel(g, m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := base.Scheduler(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestSchedulerWithAlternativeModels runs the full algorithm with every
-// battery model plugged in through the Options.Model seam. All must yield
+// battery model plugged in through the NewBaseWithModel seam. All must yield
 // valid deadline-feasible schedules; the relative quality ordering is
 // model-dependent and not asserted.
 func TestSchedulerWithAlternativeModels(t *testing.T) {
@@ -20,11 +35,7 @@ func TestSchedulerWithAlternativeModels(t *testing.T) {
 		battery.NewKiBaM(200000, 0.6, 0.05),
 	}
 	for _, m := range models {
-		s, err := New(g, taskgraph.G3Deadline, Options{Model: m})
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
-		res, err := s.Run()
+		res, err := schedulerWithModel(t, g, taskgraph.G3Deadline, m).Run()
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -42,11 +53,7 @@ func TestSchedulerWithAlternativeModels(t *testing.T) {
 // exact minimum-energy assignment's energy — and should land close to it.
 func TestIdealModelReducesToEnergyMinimization(t *testing.T) {
 	g := taskgraph.G3()
-	s, err := New(g, taskgraph.G3Deadline, Options{Model: battery.Ideal{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
+	res, err := schedulerWithModel(t, g, taskgraph.G3Deadline, battery.Ideal{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,8 +118,7 @@ type MultiStartOptions struct {
 	// the sequential path; larger values fan the restarts out over
 	// goroutines sharing the (read-only during a run) Scheduler, which
 	// requires the battery model to tolerate concurrent ChargeLost
-	// calls (all internal/battery models do; a stateful custom
-	// Options.Model must synchronize itself or keep Workers <= 1).
+	// calls (every internal/battery model does).
 	// Every restart carries its own scratch arena, so workers share no
 	// mutable state. The result is bit-identical for every Workers
 	// value: the restart weight vectors are pre-drawn from one RNG

@@ -152,6 +152,17 @@ func validDeadline(deadline float64) error {
 // base and mint per-deadline Schedulers from it with Scheduler — each
 // mint is a shallow copy, so the per-deadline cost collapses to O(1).
 func NewBase(g *taskgraph.Graph, opt Options) (*SchedulerBase, error) {
+	return NewBaseWithModel(g, nil, opt)
+}
+
+// NewBaseWithModel is NewBase costing schedules with a hand-written
+// battery model in place of opt.Battery, which is then ignored (a nil
+// model resolves opt.Battery exactly as NewBase does). It is the one
+// seam for models no battery.Spec describes; such a base has no
+// canonical identity, so nothing that caches or serves results uses it
+// — only tests do. The model must tolerate concurrent ChargeLost calls
+// if the base's schedulers run concurrently (multistart workers).
+func NewBaseWithModel(g *taskgraph.Graph, model battery.Model, opt Options) (*SchedulerBase, error) {
 	if g == nil {
 		return nil, errors.New("core: nil graph")
 	}
@@ -159,18 +170,24 @@ func NewBase(g *taskgraph.Graph, opt Options) (*SchedulerBase, error) {
 	if !uniform {
 		return nil, errors.New("core: every task must have the same number of design points")
 	}
+	if opt.Approx < 0 || opt.Approx > MaxApprox || math.IsNaN(opt.Approx) {
+		return nil, fmt.Errorf("core: Options.Approx must be in [0, %d], got %g", MaxApprox, opt.Approx)
+	}
+	opt = opt.Canonical()
 	// Resolve the battery model exactly once per base — so the
 	// per-window hot path only ever sees a ready Model value. Invalid
 	// specs fail construction, before any scheduling work.
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, err
+	if model == nil {
+		var err error
+		if model, err = opt.ResolveModel(); err != nil {
+			return nil, err
+		}
 	}
 	n := g.N()
 	s := &Scheduler{
 		g:      g,
 		opt:    opt,
-		model:  opt.Model,
+		model:  model,
 		n:      n,
 		m:      m,
 		d:      make([][]float64, n),

@@ -13,8 +13,8 @@ import (
 // pure refactor of the model path: for every kind, scheduling with
 // Options.Battery produces a Result bit-identical (float bits, exact
 // order/assignment/iterations) to scheduling with the equivalent
-// Options.Model — and the default spec is bit-identical to zero
-// options, the pre-refactor configuration.
+// hand-built model through NewBaseWithModel — and the default spec is
+// bit-identical to zero options.
 func TestBatterySpecOptionsBitIdentical(t *testing.T) {
 	g := taskgraph.G3()
 	cases := []struct {
@@ -32,7 +32,10 @@ func TestBatterySpecOptionsBitIdentical(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			spec := c.spec
 			sSpec := mustScheduler(t, g, taskgraph.G3Deadline, Options{Battery: &spec})
-			sModel := mustScheduler(t, g, taskgraph.G3Deadline, Options{Model: c.model})
+			sModel := mustScheduler(t, g, taskgraph.G3Deadline, Options{})
+			if c.model != nil {
+				sModel = schedulerWithModel(t, g, taskgraph.G3Deadline, c.model)
+			}
 			got, err := sSpec.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -83,42 +86,30 @@ func TestBatterySpecOptionErrors(t *testing.T) {
 		t.Fatalf("New with invalid spec: %v", err)
 	}
 
-	// The Beta shorthand routes through the same validated spec path,
-	// so a non-physical Beta is an error, not a silently-squared sign.
-	if _, err := New(g, taskgraph.G3Deadline, Options{Beta: -0.273}); err == nil || !strings.Contains(err.Error(), "\"beta\"") {
-		t.Fatalf("New with negative Beta: %v", err)
+	// A non-physical rakhmatov beta is an error, not a silently-squared
+	// sign.
+	neg := battery.Spec{Kind: battery.KindRakhmatov, Beta: -0.273}
+	if _, err := New(g, taskgraph.G3Deadline, Options{Battery: &neg}); err == nil || !strings.Contains(err.Error(), "\"beta\"") {
+		t.Fatalf("New with negative beta: %v", err)
 	}
-	if _, err := (Options{Beta: math.NaN()}).ResolveModel(); err == nil {
-		t.Fatal("ResolveModel with NaN Beta should error")
-	}
-
-	// Battery and Model together are ambiguous.
-	spec := battery.DefaultSpec()
-	both := Options{Battery: &spec, Model: battery.Ideal{}}
-	if _, err := New(g, taskgraph.G3Deadline, both); err == nil || !strings.Contains(err.Error(), "at most one") {
-		t.Fatalf("New with Battery and Model: %v", err)
-	}
-	if _, err := both.ResolveModel(); err == nil {
-		t.Fatal("ResolveModel with Battery and Model should error")
+	nan := battery.Spec{Kind: battery.KindRakhmatov, Beta: math.NaN()}
+	if _, err := (Options{Battery: &nan}).ResolveModel(); err == nil {
+		t.Fatal("ResolveModel with NaN beta should error")
 	}
 }
 
 func TestOptionsBatterySpec(t *testing.T) {
 	// The zero options' spec is the default battery.
-	spec, ok := Options{}.BatterySpec()
-	if !ok || string(spec.AppendCanonical(nil)) != string(battery.DefaultSpec().AppendCanonical(nil)) {
-		t.Fatalf("zero options spec = %+v, %v", spec, ok)
+	spec := Options{}.BatterySpec()
+	if string(spec.AppendCanonical(nil)) != string(battery.DefaultSpec().AppendCanonical(nil)) {
+		t.Fatalf("zero options spec = %+v", spec)
 	}
-	// Beta shorthand and the equivalent rakhmatov spec canonicalize
-	// identically — the property that makes them share a cache entry.
-	viaBeta, _ := Options{Beta: 0.35}.BatterySpec()
-	viaSpec, _ := Options{Battery: &battery.Spec{Kind: battery.KindRakhmatov, Beta: 0.35}}.BatterySpec()
-	if string(viaBeta.AppendCanonical(nil)) != string(viaSpec.AppendCanonical(nil)) {
-		t.Fatalf("beta shorthand %+v and spec %+v canonicalize differently", viaBeta, viaSpec)
-	}
-	// Opaque models have no spec.
-	if _, ok := (Options{Model: battery.Ideal{}}).BatterySpec(); ok {
-		t.Fatal("opaque Model must not report a spec")
+	// A spec leaving defaults zero canonicalizes like the spelled-out
+	// one — the property that makes them share a cache entry.
+	short := Options{Battery: &battery.Spec{Kind: " Rakhmatov", Beta: 0.35}}.BatterySpec()
+	full := Options{Battery: &battery.Spec{Kind: battery.KindRakhmatov, Beta: 0.35, Terms: battery.DefaultTerms}}.BatterySpec()
+	if string(short.AppendCanonical(nil)) != string(full.AppendCanonical(nil)) {
+		t.Fatalf("specs %+v and %+v canonicalize differently", short, full)
 	}
 }
 

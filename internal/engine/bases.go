@@ -48,18 +48,18 @@ type baseCache struct {
 
 func newBaseCache() *baseCache { return &baseCache{m: make(map[baseKey]*baseEntry)} }
 
+// newBase builds a group's base. Tests swap it, keyed on graph
+// identity, to cost one graph's jobs with a hand-written battery model
+// through core.NewBaseWithModel.
+var newBase = core.NewBase
+
 // get returns the shared SchedulerBase for (g, opt), building it at most
-// once per batch. Jobs carrying an opaque Options.Model have no
-// canonical identity to group on and fall back to a private build.
+// once per batch.
 func (c *baseCache) get(g *taskgraph.Graph, opt core.Options) (*core.SchedulerBase, error) {
-	spec, ok := opt.BatterySpec()
-	if !ok {
-		return core.NewBase(g, opt)
-	}
 	o := opt.Canonical()
 	k := baseKey{
 		graph:               g,
-		spec:                string(spec.AppendCanonical(nil)),
+		spec:                string(opt.BatterySpec().AppendCanonical(nil)),
 		initialOrder:        o.InitialOrder,
 		maxIterations:       o.MaxIterations,
 		factors:             o.Factors,
@@ -78,7 +78,7 @@ func (c *baseCache) get(g *taskgraph.Graph, opt core.Options) (*core.SchedulerBa
 	}
 	c.mu.Unlock()
 	ent.once.Do(func() {
-		ent.base, ent.err = core.NewBase(g, opt)
+		ent.base, ent.err = newBase(g, opt)
 	})
 	return ent.base, ent.err
 }

@@ -55,9 +55,8 @@ func TestBaseCacheSharesSweeps(t *testing.T) {
 }
 
 // TestBaseCacheDeduplicates checks, white-box, that the cache hands the
-// same *SchedulerBase to every job of a sweep, distinct bases to
-// distinct (graph, options) groups, and a private build to opaque-Model
-// jobs.
+// same *SchedulerBase to every job of a sweep and distinct bases to
+// distinct (graph, options) groups.
 func TestBaseCacheDeduplicates(t *testing.T) {
 	g2, g3 := taskgraph.G2(), taskgraph.G3()
 	c := newBaseCache()
@@ -69,8 +68,9 @@ func TestBaseCacheDeduplicates(t *testing.T) {
 		t.Fatal("same graph + options must share one base")
 	}
 	// A spelled-out default and the zero value canonicalize together.
-	if b2, _ := c.get(g3, core.Options{Beta: battery.DefaultBeta}); b2 != b1 {
-		t.Fatal("explicit default beta must share the zero-options base")
+	def := battery.DefaultSpec()
+	if b2, _ := c.get(g3, core.Options{Battery: &def}); b2 != b1 {
+		t.Fatal("explicit default spec must share the zero-options base")
 	}
 	if b2, _ := c.get(g2, core.Options{}); b2 == b1 {
 		t.Fatal("distinct graphs must not share a base")
@@ -78,26 +78,8 @@ func TestBaseCacheDeduplicates(t *testing.T) {
 	if b2, _ := c.get(g3, core.Options{Approx: 0.5}); b2 == b1 {
 		t.Fatal("distinct approx settings must not share a base")
 	}
-	if b2, _ := c.get(g3, core.Options{Beta: 0.35}); b2 == b1 {
+	alt := battery.Spec{Kind: battery.KindRakhmatov, Beta: 0.35}
+	if b2, _ := c.get(g3, core.Options{Battery: &alt}); b2 == b1 {
 		t.Fatal("distinct battery configurations must not share a base")
-	}
-	// Opaque models build privately — and never collide with spec jobs.
-	m := battery.NewRakhmatov(battery.DefaultBeta)
-	bm1, err := c.get(g3, core.Options{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm2, err := c.get(g3, core.Options{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bm1 == bm2 || bm1 == b1 {
-		t.Fatal("opaque-model jobs must get private bases")
-	}
-	// The fallback still works end to end.
-	jobs := []Job{{Graph: g3, Deadline: taskgraph.G3Deadline,
-		Options: core.Options{Model: m}}}
-	if r := RunBatch(jobs, 1)[0]; r.Err != nil {
-		t.Fatalf("opaque-model job: %v", r.Err)
 	}
 }

@@ -44,6 +44,22 @@ func (m *blockingModel) ChargeLost(p battery.Profile, at float64) float64 {
 
 func (m *blockingModel) Name() string { return "blocking-test-model" }
 
+// costWith makes the engine cost every iterative job on graph g (by
+// identity) with the hand-written model m, through the
+// core.NewBaseWithModel seam, until the test ends.
+func costWith(t *testing.T, g *taskgraph.Graph, m battery.Model) *taskgraph.Graph {
+	t.Helper()
+	prev := newBase
+	newBase = func(jg *taskgraph.Graph, opt core.Options) (*core.SchedulerBase, error) {
+		if jg == g {
+			return core.NewBaseWithModel(jg, m, opt)
+		}
+		return prev(jg, opt)
+	}
+	t.Cleanup(func() { newBase = prev })
+	return g
+}
+
 // TestRunBatchContextCancelMidBatch is the cancellation contract in one
 // scenario: with one worker, job 0 completes, job 1 blocks mid-search,
 // and jobs 2+ wait their turn. Canceling then releasing the block must
@@ -54,7 +70,7 @@ func TestRunBatchContextCancelMidBatch(t *testing.T) {
 	model := newBlockingModel()
 	jobs := []Job{
 		{Name: "done", Graph: taskgraph.G2(), Deadline: 75},
-		{Name: "mid-flight", Graph: taskgraph.G3(), Deadline: 230, Options: core.Options{Model: model}},
+		{Name: "mid-flight", Graph: costWith(t, taskgraph.G3(), model), Deadline: 230},
 		{Name: "unstarted-1", Graph: taskgraph.G3(), Deadline: 230},
 		{Name: "unstarted-2", Graph: taskgraph.G2(), Deadline: 55},
 	}
@@ -139,7 +155,7 @@ func describeResult(r Result) Result {
 func TestJobTimeout(t *testing.T) {
 	model := newBlockingModel()
 	jobs := []Job{
-		{Name: "slow", Graph: taskgraph.G3(), Deadline: 230, Options: core.Options{Model: model}, Timeout: 20 * time.Millisecond},
+		{Name: "slow", Graph: costWith(t, taskgraph.G3(), model), Deadline: 230, Timeout: 20 * time.Millisecond},
 		{Name: "fine", Graph: taskgraph.G2(), Deadline: 75},
 	}
 	e := Engine{Workers: 1}

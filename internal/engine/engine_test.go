@@ -121,10 +121,9 @@ func (panicModel) Name() string                                { return "panic" 
 
 // TestRunBatchRecoversPanics: a panicking model fails only its own job.
 func TestRunBatchRecoversPanics(t *testing.T) {
-	g := taskgraph.G3()
 	jobs := []Job{
-		{Graph: g, Deadline: taskgraph.G3Deadline, Options: core.Options{Model: panicModel{}}},
-		{Graph: g, Deadline: taskgraph.G3Deadline},
+		{Graph: costWith(t, taskgraph.G3(), panicModel{}), Deadline: taskgraph.G3Deadline},
+		{Graph: taskgraph.G3(), Deadline: taskgraph.G3Deadline},
 	}
 	results := RunBatch(jobs, 2)
 	if results[0].Err == nil {

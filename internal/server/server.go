@@ -162,9 +162,7 @@ type metrics struct {
 	// modelKinds counts served jobs per battery-model kind (the
 	// /metrics "model_kinds" object), indexed parallel to specKinds
 	// and sized from it in New, so a future kind cannot overflow it.
-	// Jobs with a deprecated opaque model land in modelOpaque instead.
-	modelKinds  []atomic.Uint64
-	modelOpaque atomic.Uint64
+	modelKinds []atomic.Uint64
 }
 
 // specKinds fixes the kind→counter index order once at startup (also
@@ -173,11 +171,7 @@ var specKinds = battery.Kinds()
 
 // countModelKind attributes one served job to its battery-model kind.
 func (m *metrics) countModelKind(job engine.Job) {
-	spec, ok := job.Options.BatterySpec()
-	if !ok {
-		m.modelOpaque.Add(1)
-		return
-	}
+	spec := job.Options.BatterySpec()
 	for i, k := range specKinds {
 		if k == spec.Kind {
 			m.modelKinds[i].Add(1)
@@ -281,13 +275,9 @@ func (s *Server) Cache() *cache.Cache { return s.cache }
 
 // applyDefaultBattery fills Config.DefaultBattery into a job that
 // selected no battery of its own. Jobs carrying a "battery" object or
-// the "beta" shorthand (which resolves through Options.Beta) are left
-// alone, as are deprecated opaque models (impossible over the wire).
+// the "beta" shorthand (which wire parses into a spec) are left alone.
 func (s *Server) applyDefaultBattery(job *engine.Job) {
-	if s.cfg.DefaultBattery == nil {
-		return
-	}
-	if job.Options.Battery == nil && job.Options.Beta == 0 && job.Options.Model == nil {
+	if job.Options.Battery == nil {
 		job.Options.Battery = s.cfg.DefaultBattery
 	}
 }
@@ -554,9 +544,8 @@ type MetricsSnapshot struct {
 	// done/expired/aborted terminal counters.
 	JobsAsync queue.Stats `json:"jobs_async"`
 	// ModelKinds counts served jobs per battery-model kind (rakhmatov,
-	// ideal, peukert, kibam, calibrated; "opaque" for deprecated
-	// Options.Model jobs from embedding callers). Kinds never served
-	// are omitted.
+	// ideal, peukert, kibam, calibrated). Kinds never served are
+	// omitted.
 	ModelKinds  map[string]uint64 `json:"model_kinds,omitempty"`
 	InFlight    int64             `json:"in_flight"`
 	MaxInFlight int               `json:"max_in_flight"`
@@ -590,9 +579,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		if n := s.metrics.modelKinds[i].Load(); n > 0 {
 			kinds[kind] = n
 		}
-	}
-	if n := s.metrics.modelOpaque.Load(); n > 0 {
-		kinds["opaque"] = n
 	}
 	if len(kinds) > 0 {
 		snap.ModelKinds = kinds

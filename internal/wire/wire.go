@@ -375,11 +375,17 @@ func (j Job) label() string {
 //
 //battlint:canonical Job
 func (j Job) ToEngine() (engine.Job, error) {
+	spec := j.Battery
+	if j.Beta != 0 {
+		// The "beta" shorthand is parsed into its rakhmatov spec here, at
+		// the edge; past it the spec is the only battery input.
+		spec = &battery.Spec{Kind: battery.KindRakhmatov, Beta: j.Beta}
+	}
 	job := engine.Job{
 		Name:     j.Name,
 		Deadline: j.Deadline,
 		Strategy: j.Strategy,
-		Options:  core.Options{Beta: j.Beta, Battery: j.Battery, Approx: j.Approx},
+		Options:  core.Options{Battery: spec, Approx: j.Approx},
 		MultiStart: core.MultiStartOptions{
 			Restarts: j.Restarts,
 			Seed:     j.Seed,

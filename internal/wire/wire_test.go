@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -191,6 +192,15 @@ func TestToEngineForwardsBattery(t *testing.T) {
 	}
 	if res.Cost == defRes.Cost {
 		t.Fatalf("kibam cost %g equals default cost — spec ignored", res.Cost)
+	}
+
+	// The "beta" shorthand arrives as its rakhmatov spec.
+	short, err := (Job{Fixture: "g3", Deadline: 230, Beta: 0.35}).ToEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := short.Options.Battery; b == nil || !reflect.DeepEqual(*b, battery.Spec{Kind: battery.KindRakhmatov, Beta: 0.35}) {
+		t.Fatalf("beta shorthand not parsed into a rakhmatov spec: %+v", short.Options)
 	}
 }
 

@@ -12,6 +12,9 @@
 //
 // Lines that are not benchmark results (pkg/goos/cpu headers, PASS/ok)
 // set context or are ignored, so raw `go test` output pipes straight in.
+// The snapshot also records the host next to the numbers: GOMAXPROCS
+// (from the benchmark names' -N suffix), the CPU count, the Go version
+// and, inside a git checkout, the commit measured.
 package main
 
 import (
@@ -20,7 +23,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -40,13 +45,19 @@ type Snapshot struct {
 	GoOS       string           `json:"goos,omitempty"`
 	GoArch     string           `json:"goarch,omitempty"`
 	CPU        string           `json:"cpu,omitempty"`
+	GoMaxProcs int              `json:"gomaxprocs"`
+	NProc      int              `json:"nproc"`
+	GoVersion  string           `json:"go_version"`
+	Commit     string           `json:"commit,omitempty"`
 	Benchmarks map[string]Entry `json:"benchmarks"`
 }
 
 // benchLine matches e.g.
 //
 //	BenchmarkScalingTasks/n=80-8  61  10419264 ns/op  64640 B/op  249 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
+//
+// The -N suffix is GOMAXPROCS; go test omits it when GOMAXPROCS is 1.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
@@ -57,7 +68,15 @@ func main() {
 		n             int
 	}
 	sums := map[string]*acc{}
-	snap := Snapshot{Generated: time.Now().UTC().Format(time.RFC3339), Benchmarks: map[string]Entry{}}
+	snap := Snapshot{
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		NProc:      runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+		Benchmarks: map[string]Entry{},
+	}
+	if rev, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		snap.Commit = strings.TrimSpace(string(rev))
+	}
 	pkg := ""
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -81,6 +100,10 @@ func main() {
 		if m == nil {
 			continue
 		}
+		snap.GoMaxProcs = 1
+		if m[2] != "" {
+			snap.GoMaxProcs = int(mustFloat(m[2]))
+		}
 		key := m[1]
 		if pkg != "" {
 			key = pkg + ":" + m[1]
@@ -90,12 +113,12 @@ func main() {
 			a = &acc{}
 			sums[key] = a
 		}
-		a.ns += mustFloat(m[2])
-		if m[3] != "" {
-			a.b += mustFloat(m[3])
-		}
+		a.ns += mustFloat(m[3])
 		if m[4] != "" {
-			a.allocs += mustFloat(m[4])
+			a.b += mustFloat(m[4])
+		}
+		if m[5] != "" {
+			a.allocs += mustFloat(m[5])
 		}
 		a.n++
 	}
