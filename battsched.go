@@ -92,26 +92,24 @@ type Trace = core.Trace
 // callers only need Run.
 type Scheduler = core.Scheduler
 
-// Runner executes one Scheduler repeatedly while reusing all mutable run
-// state — after a warm-up run the steady state performs zero heap
-// allocations (tracing off). Create one per goroutine with
-// Scheduler.NewRunner; the returned Result is owned by the Runner and
-// overwritten by its next run.
+// Runner evaluates one graph + options at any number of deadlines while
+// reusing everything that does not depend on the deadline (battery model
+// resolution, matrices, candidate pruning, the initial sequence) and all
+// mutable run state — after a warm-up run the steady state performs zero
+// heap allocations (tracing off), whether the deadline changes or not.
+// Each result is bit-identical to Run(g, deadline, opt)'s. A Runner is a
+// single goroutine's arena: create one per goroutine, and copy a
+// returned Result before the next run overwrites it.
 type Runner = core.Runner
 
-// SweepRunner evaluates one graph + options across many deadlines while
-// reusing everything that does not depend on the deadline (battery model
-// resolution, matrices, candidate pruning, the initial sequence and the
-// scratch arena). A deadline sweep through it costs one construction
-// plus O(1) setup per deadline; each result is bit-identical to
-// Run(g, deadline, opt)'s. Like Runner it is a single goroutine's arena,
-// and its returned Result is overwritten by the next call.
-type SweepRunner = core.SweepRunner
-
-// NewSweepRunner validates the graph and options once and returns a
-// runner for sweeping deadlines over them.
-func NewSweepRunner(g *Graph, opt Options) (*SweepRunner, error) {
-	return core.NewSweepRunner(g, opt)
+// NewRunner validates the graph and options once and returns a Runner
+// over them; call its Run(deadline) per deadline.
+func NewRunner(g *Graph, opt Options) (*Runner, error) {
+	base, err := core.NewBase(g, opt)
+	if err != nil {
+		return nil, err
+	}
+	return base.NewRunner(), nil
 }
 
 // MaxApprox bounds Options.Approx, the documented approximation mode's

@@ -46,25 +46,26 @@ func TestFacadeRun(t *testing.T) {
 
 func TestFacadeRunner(t *testing.T) {
 	g := battsched.G3()
-	s, err := battsched.New(g, 230, battsched.Options{})
+	r, err := battsched.NewRunner(g, battsched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r *battsched.Runner = s.NewRunner()
 	for pass := 0; pass < 2; pass++ {
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cost != want.Cost || res.Iterations != want.Iterations {
-			t.Fatalf("pass %d: runner result %+v != Run's %+v", pass, res, want)
-		}
-		if err := res.Schedule.ValidateDeadline(g, 230); err != nil {
-			t.Fatal(err)
+		for _, d := range []float64{230, 150} {
+			want, err := battsched.Run(g, d, battsched.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Run(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cost != want.Cost || res.Iterations != want.Iterations {
+				t.Fatalf("pass %d, deadline %g: runner result %+v != Run's %+v", pass, d, res, want)
+			}
+			if err := res.Schedule.ValidateDeadline(g, d); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -62,19 +62,18 @@ func BenchmarkTable2G3Iterations(b *testing.B) {
 // body is allocation-free (0 allocs/op; pinned by
 // core.TestRunnerSteadyStateZeroAlloc).
 func BenchmarkTable3WindowSweep(b *testing.B) {
-	g := taskgraph.G3()
-	s, err := core.New(g, taskgraph.G3Deadline, core.Options{})
+	base, err := core.NewBase(taskgraph.G3(), core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := s.NewRunner()
-	if _, err := r.Run(); err != nil {
+	r := base.NewRunner()
+	if _, err := r.Run(taskgraph.G3Deadline); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(); err != nil {
+		if _, err := r.Run(taskgraph.G3Deadline); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,9 +208,9 @@ func BenchmarkScalingTasks(b *testing.B) {
 
 // BenchmarkDeadlineSweep measures the cross-deadline reuse path: one
 // n=80 benchmark graph evaluated at 16 deadlines spanning the feasible
-// range, once by constructing a fresh scheduler per deadline (the
-// pre-SweepRunner idiom) and once through a SweepRunner sharing the
-// deadline-independent construction, scratch arena and initial sequence.
+// range, once by constructing a fresh scheduler per deadline and once
+// through a Runner sharing the deadline-independent construction,
+// scratch arena and initial sequence.
 // The per-op unit is one full 16-deadline sweep.
 func BenchmarkDeadlineSweep(b *testing.B) {
 	const n = 80
@@ -244,16 +243,17 @@ func BenchmarkDeadlineSweep(b *testing.B) {
 			}
 		}
 	})
-	b.Run("sweeprunner", func(b *testing.B) {
-		sr, err := core.NewSweepRunner(g, core.Options{})
+	b.Run("runner", func(b *testing.B) {
+		base, err := core.NewBase(g, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		r := base.NewRunner()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, d := range deadlines {
-				if _, err := sr.Run(d); err != nil {
+				if _, err := r.Run(d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -374,45 +374,6 @@ func BenchmarkAnnealing(b *testing.B) {
 		if _, _, err := baseline.Anneal(g, 75, m, baseline.AnnealOptions{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkParallelWindows compares the concurrent window evaluator
-// against the sequential default on a larger synthetic instance (the
-// results are identical; this measures the wall-clock effect only).
-func BenchmarkParallelWindows(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	factors := make([]float64, 8)
-	for j := range factors {
-		factors[j] = 1 - float64(j)/8*0.66
-	}
-	recipe := dvs.Recipe{Factors: factors, Rule: dvs.TimeReversedLinear}
-	points, err := recipe.PointsFunc(dvs.RandomRefs(rng, 40, 300, 900, 2, 8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := taskgraph.ForkJoin(4, 7, 11, points)
-	if err != nil {
-		b.Fatal(err)
-	}
-	deadline := g.MinTotalTime() + 0.6*(g.MaxTotalTime()-g.MinTotalTime())
-	for _, par := range []bool{false, true} {
-		name := "sequential"
-		if par {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := core.New(g, deadline, core.Options{Parallel: par})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // The equivalence suite proves the acceptance criterion of the scratch-arena
-// rebuild: the optimized hot path (choose.go, scheduler.go, parallel.go)
+// rebuild: the optimized hot path (choose.go, scheduler.go, runner.go)
 // produces Results bit-identical to the straightforward reference
 // evaluators (reference.go) on every paper fixture at every paper deadline
 // and on seeded random graphs — cost, duration and energy compared as raw
@@ -64,7 +64,6 @@ func equivalenceVariants() map[string]Options {
 		"avg-energy-init": {InitialOrder: WeightAvgEnergy},
 		"no-dpf":          {Factors: AllFactors &^ FactorDPF},
 		"dpf-only":        {Factors: FactorDPF},
-		"parallel":        {Parallel: true},
 	}
 }
 
@@ -123,7 +122,7 @@ func randomEquivGraph(t *testing.T, rng *rand.Rand, n, m int) *taskgraph.Graph {
 // seeded random instances at three slack levels each.
 func TestEquivalenceRandomGraphs(t *testing.T) {
 	variants := equivalenceVariants()
-	variantNames := []string{"default", "first-feasible", "no-reseq", "dpf-absolute", "avg-energy-init", "parallel"}
+	variantNames := []string{"default", "first-feasible", "no-reseq", "dpf-absolute", "avg-energy-init"}
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(21) // 4..24 tasks
@@ -181,30 +180,41 @@ func TestEquivalenceRunFrom(t *testing.T) {
 	}
 }
 
-// TestEquivalenceRunner checks that the storage-reusing Runner matches
-// Scheduler.Run bit-for-bit, including on its second and later runs (the
-// steady state the zero-alloc benchmark measures).
+// TestEquivalenceRunner checks that the storage-reusing Runner matches the
+// reference evaluator bit-for-bit, including on its second and later runs
+// (the steady state the zero-alloc benchmark measures) and after a run at
+// another deadline has overwritten its reused state.
 func TestEquivalenceRunner(t *testing.T) {
-	for _, c := range []struct {
+	type equivCase struct {
 		name  string
 		graph *taskgraph.Graph
 		d     float64
-	}{
+	}
+	cases := []equivCase{
 		{"G2", taskgraph.G2(), 75},
 		{"G3", taskgraph.G3(), taskgraph.G3Deadline},
-	} {
-		s := mustScheduler(t, c.graph, c.d, Options{})
-		want, err := s.Run()
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomEquivGraph(t, rng, 8+rng.Intn(16), 3)
+		d := g.MinTotalTime() + 0.4*(g.MaxTotalTime()-g.MinTotalTime())
+		cases = append(cases, equivCase{fmt.Sprintf("rand%d", seed), g, d})
+	}
+	for _, c := range cases {
+		ref, err := mustScheduler(t, c.graph, c.d, Options{}).refRunContext(context.Background())
 		if err != nil {
-			t.Fatalf("%s: Run: %v", c.name, err)
+			t.Fatalf("%s: reference: %v", c.name, err)
 		}
-		r := s.NewRunner()
+		r := mustRunner(t, c.graph, Options{})
 		for pass := 1; pass <= 3; pass++ {
-			got, err := r.Run()
+			got, err := r.Run(c.d)
 			if err != nil {
 				t.Fatalf("%s: Runner pass %d: %v", c.name, pass, err)
 			}
-			requireSameResult(t, fmt.Sprintf("%s/pass=%d", c.name, pass), want, got)
+			requireSameResult(t, fmt.Sprintf("%s/pass=%d", c.name, pass), ref, got)
+			if _, err := r.Run(c.graph.MaxTotalTime()); err != nil {
+				t.Fatalf("%s: Runner at the loose deadline: %v", c.name, err)
+			}
 		}
 	}
 }

@@ -6,71 +6,54 @@ import (
 	"repro/internal/sched"
 )
 
-// Runner executes one Scheduler repeatedly while reusing every piece of
-// mutable run state: the scratch arena, the result struct, the schedule's
-// order slice and assignment map, and the profile used to derive duration
-// and energy. After a warm-up run, the steady state allocates nothing
-// (with Options.RecordTrace off — traces are per-run history and are
-// allocated when requested).
+// Runner runs the iterative algorithm for one graph + options at any
+// deadline while reusing every piece of run state: the shared
+// SchedulerBase (battery model resolution, flat matrices, Energy Vector,
+// reachability bitsets, pruned candidate lists, lower-bound analysis and
+// the initial sequence), the per-deadline Scheduler (held by value and
+// re-minted in place), the scratch arena, the result struct and the
+// schedule's order slice and assignment map. After a warm-up run the
+// steady state allocates nothing, whether the deadline repeats or
+// changes (with Options.RecordTrace off — traces are per-run history and
+// are allocated when requested).
+//
+// Results are bit-identical to New(graph, deadline, opt) followed by
+// Run, for every deadline (see TestRunnerMatchesNew).
 //
 // The Result returned by Run/RunContext is owned by the Runner and
-// overwritten by the next call; callers that need to keep one must copy it
-// (Result.Schedule.Clone for the schedule). A Runner is not safe for
-// concurrent use — it is exactly one worker's arena. Create one Runner per
-// goroutine; the Scheduler itself stays shared and immutable.
-//
-// Results are bit-identical to Scheduler.Run's for the same inputs.
+// overwritten by the next call; callers that need to keep one must copy
+// it (Result.Schedule.Clone for the schedule). A Runner is not safe for
+// concurrent use — it is exactly one worker's arena. Mint one per
+// goroutine from a shared SchedulerBase (SchedulerBase.NewRunner); the
+// base itself is immutable and safe to share.
 type Runner struct {
-	s     *Scheduler
+	base  *SchedulerBase
+	s     Scheduler
 	scr   *runScratch
 	sched sched.Schedule
 	res   Result
 }
 
-// NewRunner returns a Runner with a freshly sized arena for s.
-func (s *Scheduler) NewRunner() *Runner {
-	return &Runner{s: s, scr: s.newScratch()}
+// NewRunner mints a Runner with a freshly sized arena over the shared
+// base.
+func (b *SchedulerBase) NewRunner() *Runner {
+	return &Runner{base: b, scr: b.proto.newScratch()}
 }
 
-// Run executes the iterative algorithm, reusing the Runner's storage.
-func (r *Runner) Run() (*Result, error) {
-	return r.RunContext(context.Background())
+// Run executes the iterative algorithm for one deadline, reusing the
+// Runner's storage.
+func (r *Runner) Run(deadline float64) (*Result, error) {
+	return r.RunContext(context.Background(), deadline)
 }
 
 // RunContext is Run with cooperative cancellation (see
 // Scheduler.RunContext for the semantics).
-func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
-	s := r.s
-	if s.g.MinTotalTime() > s.deadline+timeEps {
-		return nil, ErrDeadlineInfeasible
-	}
-	L := s.initialSequenceInto(r.scr, r.scr.seqA)
-	var trace *Trace
-	if s.opt.RecordTrace {
-		trace = &Trace{InitialSequence: s.idsOf(L)}
-	}
-	bestOrder, bestAssign, bestCost, iterations, err := s.runLoop(ctx, r.scr, L, trace)
-	if err != nil {
+func (r *Runner) RunContext(ctx context.Context, deadline float64) (*Result, error) {
+	if err := r.base.mint(&r.s, deadline); err != nil {
 		return nil, err
 	}
-	r.sched.Order = s.idsInto(bestOrder, r.sched.Order[:0])
-	if r.sched.Assignment == nil {
-		r.sched.Assignment = make(map[int]int, s.n)
-	}
-	for i := 0; i < s.n; i++ {
-		// The key set is the graph's task IDs on every run, so the
-		// map never rehashes after the first.
-		r.sched.Assignment[s.g.IDAt(i)] = bestAssign[i]
-	}
-	p := s.profileInto(bestOrder, bestAssign, r.scr.profile[:0])
-	dur := p.TotalTime()
-	r.res = Result{
-		Schedule:   &r.sched,
-		Cost:       bestCost,
-		Duration:   dur,
-		Energy:     p.DeliveredCharge(dur),
-		Iterations: iterations,
-		Trace:      trace,
+	if err := r.s.runInto(ctx, r.scr, r.s.initSeq, r.s.opt.RecordTrace, &r.res, &r.sched); err != nil {
+		return nil, err
 	}
 	return &r.res, nil
 }

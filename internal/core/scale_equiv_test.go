@@ -210,12 +210,75 @@ func TestApproxNeverWorseThanBound(t *testing.T) {
 	}
 }
 
-// TestSweepRunnerMatchesNew proves the deadline-sweep reuse path: for
-// every deadline in a dense sweep, SweepRunner.Run is bit-identical to
-// constructing a fresh scheduler with New and calling Run — including
-// when the sweep revisits a deadline after others mutated the shared
-// scratch, and across infeasible deadlines mid-sweep.
+// TestSweepRunnerMatchesNew proves that every entry point minted from one
+// SchedulerBase leaves the base's shared state untouched: a deadline sweep
+// in shuffled order, infeasible deadlines included, that interleaves
+// Runner.Run with SchedulerBase.Scheduler(d).Run on the same base, is
+// bit-identical at every step to constructing a fresh scheduler with New.
 func TestSweepRunnerMatchesNew(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomEquivGraph(t, rng, 8+rng.Intn(16), 3)
+		for _, opt := range []Options{{}, {Approx: 0.05}} {
+			b, err := NewBase(g, opt)
+			if err != nil {
+				t.Fatalf("seed=%d: NewBase: %v", seed, err)
+			}
+			r := b.NewRunner()
+			lo, hi := g.MinTotalTime(), g.MaxTotalTime()
+			deadlines := []float64{lo * 0.5 /* infeasible */, hi * 1.2}
+			for i := 0; i <= 8; i++ {
+				deadlines = append(deadlines, lo+float64(i)/8*(hi-lo))
+			}
+			rng.Shuffle(len(deadlines), func(i, j int) {
+				deadlines[i], deadlines[j] = deadlines[j], deadlines[i]
+			})
+			for step, d := range deadlines {
+				label := fmt.Sprintf("seed=%d/approx=%g/step=%d/d=%g", seed, opt.Approx, step, d)
+				want, wantErr := func() (*Result, error) {
+					s, err := New(g, d, opt)
+					if err != nil {
+						return nil, err
+					}
+					return s.Run()
+				}()
+				for _, entry := range []struct {
+					name string
+					run  func() (*Result, error)
+				}{
+					{"Runner", func() (*Result, error) { return r.Run(d) }},
+					{"base.Scheduler", func() (*Result, error) {
+						s, err := b.Scheduler(d)
+						if err != nil {
+							return nil, err
+						}
+						return s.Run()
+					}},
+				} {
+					got, gotErr := entry.run()
+					if (wantErr == nil) != (gotErr == nil) {
+						t.Fatalf("%s: error mismatch: New+Run %v, %s %v", label, wantErr, entry.name, gotErr)
+					}
+					if wantErr != nil {
+						if wantErr.Error() != gotErr.Error() {
+							t.Fatalf("%s: %s error text mismatch: %q vs %q", label, entry.name, wantErr, gotErr)
+						}
+						continue
+					}
+					requireSameResult(t, label+"/"+entry.name, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestRunnerMatchesNew proves the Runner's reuse path: for every
+// deadline in a dense sweep, Runner.Run is bit-identical to constructing
+// a fresh scheduler with New and calling Run — on repeated runs at one
+// deadline (the steady state the zero-alloc benchmark measures), when
+// the sweep revisits a deadline after others mutated the reused state,
+// and across infeasible deadlines mid-sweep.
+func TestRunnerMatchesNew(t *testing.T) {
 	graphs := []struct {
 		name string
 		g    *taskgraph.Graph
@@ -232,10 +295,7 @@ func TestSweepRunnerMatchesNew(t *testing.T) {
 	}
 	for _, opt := range []Options{{}, {Approx: 0.05}} {
 		for _, gc := range graphs {
-			sr, err := NewSweepRunner(gc.g, opt)
-			if err != nil {
-				t.Fatalf("%s: NewSweepRunner: %v", gc.name, err)
-			}
+			r := mustRunner(t, gc.g, opt)
 			lo, hi := gc.g.MinTotalTime(), gc.g.MaxTotalTime()
 			var deadlines []float64
 			for i := 0; i <= 12; i++ {
@@ -253,17 +313,20 @@ func TestSweepRunnerMatchesNew(t *testing.T) {
 					}
 					return s.Run()
 				}()
-				got, gotErr := sr.Run(d)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s: error mismatch: New+Run %v, SweepRunner %v", label, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					if wantErr.Error() != gotErr.Error() {
-						t.Fatalf("%s: error text mismatch: %q vs %q", label, wantErr, gotErr)
+				for pass := 1; pass <= 3; pass++ {
+					passLabel := fmt.Sprintf("%s/pass=%d", label, pass)
+					got, gotErr := r.Run(d)
+					if (wantErr == nil) != (gotErr == nil) {
+						t.Fatalf("%s: error mismatch: New+Run %v, Runner %v", passLabel, wantErr, gotErr)
 					}
-					continue
+					if wantErr != nil {
+						if wantErr.Error() != gotErr.Error() {
+							t.Fatalf("%s: error text mismatch: %q vs %q", passLabel, wantErr, gotErr)
+						}
+						continue
+					}
+					requireSameResult(t, passLabel, want, got)
 				}
-				requireSameResult(t, label, want, got)
 			}
 		}
 	}

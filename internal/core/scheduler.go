@@ -74,6 +74,11 @@ type Scheduler struct {
 	// energyOrder is the paper's Energy Vector E: task indices sorted
 	// by ascending average energy (ties by smaller ID).
 	energyOrder []int
+	// initSeq is the paper's first sequence (see initialSequence). It
+	// depends only on the graph and Options.InitialOrder, never on the
+	// deadline, so it is computed once per base; every run copies it
+	// into its own scratch.
+	initSeq []int
 	// reachBits[i] is the reachable set of task i (descendants including
 	// i) as a bitset over dense task indices — the Equation-4 weights
 	// iterate it without touching the graph's per-task index slices.
@@ -113,11 +118,11 @@ type Scheduler struct {
 
 // SchedulerBase is the deadline-independent part of a Scheduler: the
 // validated graph and options, the resolved battery model, the flat
-// matrices, the Energy Vector, the reachability bitsets and the pruned
-// candidate lists. Everything a deadline sweep re-derives per deadline
-// today except the deadline itself lives here, built once by NewBase and
-// shared — a SchedulerBase is immutable and safe for concurrent
-// Scheduler calls, and the Schedulers it mints share its slices.
+// matrices, the Energy Vector, the reachability bitsets, the pruned
+// candidate lists and the initial sequence. Everything but the deadline
+// itself lives here, built once by NewBase and shared — a SchedulerBase
+// is immutable and safe for concurrent Scheduler and NewRunner calls,
+// and the Schedulers and Runners it mints share its slices.
 type SchedulerBase struct {
 	proto Scheduler
 }
@@ -147,10 +152,11 @@ func validDeadline(deadline float64) error {
 // scheduler construction that does not depend on the deadline: battery
 // model resolution (a calibrated spec runs a whole beta-fit here),
 // matrix flattening, the Energy Vector sort, reachability bitsets,
-// candidate dominance pruning and the lower-bound slack analysis.
-// Deadline sweeps (SweepRunner, the engine's batch grouping) build one
-// base and mint per-deadline Schedulers from it with Scheduler — each
-// mint is a shallow copy, so the per-deadline cost collapses to O(1).
+// candidate dominance pruning, the lower-bound slack analysis and the
+// initial sequence. Deadline sweeps (Runner, the engine's batch
+// grouping) build one base and mint per-deadline Schedulers from it —
+// each mint is a shallow copy, so the per-deadline cost collapses to
+// O(1).
 func NewBase(g *taskgraph.Graph, opt Options) (*SchedulerBase, error) {
 	return NewBaseWithModel(g, nil, opt)
 }
@@ -237,6 +243,7 @@ func NewBaseWithModel(g *taskgraph.Graph, model battery.Model, opt Options) (*Sc
 	}
 	s.buildCandidates()
 	s.analyzeLowerBound()
+	s.initSeq = s.initialSequence()
 	return &SchedulerBase{proto: *s}, nil
 }
 
@@ -245,10 +252,20 @@ func NewBaseWithModel(g *taskgraph.Graph, model battery.Model, opt Options) (*Sc
 // only per-deadline state is the deadline itself and the bound-skip
 // slack derived from it; everything else is shared with the base.
 func (b *SchedulerBase) Scheduler(deadline float64) (*Scheduler, error) {
-	if err := validDeadline(deadline); err != nil {
+	s := new(Scheduler)
+	if err := b.mint(s, deadline); err != nil {
 		return nil, err
 	}
-	s := b.proto
+	return s, nil
+}
+
+// mint overwrites s with the base's scheduler for deadline, allocating
+// nothing (Runner re-mints its by-value Scheduler on every run).
+func (b *SchedulerBase) mint(s *Scheduler, deadline float64) error {
+	if err := validDeadline(deadline); err != nil {
+		return err
+	}
+	*s = b.proto
 	s.deadline = deadline
 	// Conservative slack of the candidate lower bound (see lowerBound
 	// for the per-term bounds). The terms can undercut LB only by
@@ -262,7 +279,7 @@ func (b *SchedulerBase) Scheduler(deadline float64) (*Scheduler, error) {
 	// magnitude, orders below 1e-12), so B >= LB - lbSlack holds for
 	// every candidate the reference scores.
 	s.lbSlack = 2*timeEps/deadline + s.enrSlack + 1e-12
-	return &s, nil
+	return nil
 }
 
 // Graph returns the graph the base was built for.
@@ -356,34 +373,63 @@ func (s *Scheduler) Run() (*Result, error) {
 // partial result — a run that completes is bit-identical to one executed
 // without a context.
 func (s *Scheduler) RunContext(ctx context.Context) (*Result, error) {
-	if s.g.MinTotalTime() > s.deadline+timeEps {
-		return nil, ErrDeadlineInfeasible
+	return s.runFresh(ctx, s.initSeq, s.opt.RecordTrace)
+}
+
+// runFresh is runInto with a new arena and fresh, caller-owned result
+// storage (the engine caches what RunContext returns).
+func (s *Scheduler) runFresh(ctx context.Context, initial []int, record bool) (*Result, error) {
+	res := new(Result)
+	out := &sched.Schedule{Order: make([]int, 0, s.n)}
+	if err := s.runInto(ctx, s.newScratch(), initial, record, res, out); err != nil {
+		return nil, err
 	}
-	scr := s.newScratch()
-	L := s.initialSequenceInto(scr, scr.seqA)
+	return res, nil
+}
+
+// runInto is the one run body behind every entry point (RunContext,
+// runFromContext, Runner): the infeasibility check, runLoop from a copy
+// of the initial sequence (dense indices), then the best schedule
+// materialized into out and the outcome into res, with res.Schedule
+// pointing at out. out's order slice and assignment map are reused when
+// present. record attaches a trace (restarts pass false).
+func (s *Scheduler) runInto(ctx context.Context, scr *runScratch, initial []int, record bool, res *Result, out *sched.Schedule) error {
+	if s.g.MinTotalTime() > s.deadline+timeEps {
+		return ErrDeadlineInfeasible
+	}
+	L := append(scr.seqA[:0], initial...)
 	var trace *Trace
-	if s.opt.RecordTrace {
+	if record {
 		trace = &Trace{InitialSequence: s.idsOf(L)}
 	}
 	bestOrder, bestAssign, bestCost, iterations, err := s.runLoop(ctx, scr, L, trace)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	schedule := s.scheduleFrom(bestOrder, bestAssign)
-	p := schedule.Profile(s.g)
+	out.Order = s.idsInto(bestOrder, out.Order[:0])
+	if out.Assignment == nil {
+		out.Assignment = make(map[int]int, s.n)
+	}
+	for i := 0; i < s.n; i++ {
+		// The key set is the graph's task IDs on every run, so a
+		// reused map never rehashes after the first.
+		out.Assignment[s.g.IDAt(i)] = bestAssign[i]
+	}
+	p := s.profileInto(bestOrder, bestAssign, scr.profile[:0])
 	dur := p.TotalTime()
-	return &Result{
-		Schedule:   schedule,
+	*res = Result{
+		Schedule:   out,
 		Cost:       bestCost,
 		Duration:   dur,
 		Energy:     p.DeliveredCharge(dur),
 		Iterations: iterations,
 		Trace:      trace,
-	}, nil
+	}
+	return nil
 }
 
-// runLoop is the paper's outer improvement loop, shared by every entry
-// point (RunContext, runFromContext, Runner): evaluate the window sweep
+// runLoop is the paper's outer improvement loop behind runInto: evaluate
+// the window sweep
 // for the current sequence, fall back to the always-feasible all-fastest
 // assignment if no window was feasible, resequence by Equation 4, keep the
 // best, and stop at the first non-improving iteration.
@@ -399,7 +445,7 @@ func (s *Scheduler) runLoop(ctx context.Context, scr *runScratch, L []int, trace
 
 	for iter := 0; iter < s.opt.MaxIterations; iter++ {
 		iterations++
-		wAssign, wCost, windows := s.windows(ctx, cur, scr)
+		wAssign, wCost, windows := s.evaluateWindows(ctx, cur, scr)
 		if err = ctx.Err(); err != nil {
 			return nil, nil, 0, 0, err
 		}
@@ -474,21 +520,9 @@ func (s *Scheduler) initialSequence() []int {
 	return s.listSchedule(w)
 }
 
-// initialSequenceInto is initialSequence writing into the scratch-backed
-// buffer out.
-//
-//battsched:hotpath
-func (s *Scheduler) initialSequenceInto(scr *runScratch, out []int) []int {
-	w := s.avgCur
-	if s.opt.InitialOrder == WeightAvgEnergy {
-		w = s.avgEn
-	}
-	return s.listScheduleCore(w, scr.indeg, scr.heap[:0], out[:0])
-}
-
 // InitialSequence exposes the first-iteration order as task IDs (used by
 // tests and the experiment harness).
-func (s *Scheduler) InitialSequence() []int { return s.idsOf(s.initialSequence()) }
+func (s *Scheduler) InitialSequence() []int { return s.idsOf(s.initSeq) }
 
 // weightedSequenceInto is the paper's FindWeightedSequence: Equation 4
 // assigns every task the sum of the assigned-design-point currents over
@@ -672,16 +706,6 @@ func (s *Scheduler) CostOf(order []int, assignment map[int]int) (float64, error)
 // scheduleFrom materializes a Schedule from dense-index order/assignment.
 func (s *Scheduler) scheduleFrom(order, assign []int) *sched.Schedule {
 	return &sched.Schedule{Order: s.idsOf(order), Assignment: s.assignmentMap(assign)}
-}
-
-// windows dispatches to the sequential or parallel window evaluator.
-// A canceled ctx makes it return early with whatever it has; callers
-// must check ctx before trusting the result.
-func (s *Scheduler) windows(ctx context.Context, L []int, scr *runScratch) ([]int, float64, []WindowTrace) {
-	if s.opt.Parallel {
-		return s.evaluateWindowsParallel(ctx, L, scr)
-	}
-	return s.evaluateWindows(ctx, L, scr)
 }
 
 func (s *Scheduler) idsOf(L []int) []int {

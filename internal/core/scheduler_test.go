@@ -33,6 +33,15 @@ func mustScheduler(t *testing.T, g *taskgraph.Graph, d float64, opt Options) *Sc
 	return s
 }
 
+func mustRunner(t *testing.T, g *taskgraph.Graph, opt Options) *Runner {
+	t.Helper()
+	b, err := NewBase(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.NewRunner()
+}
+
 // TestInitialSequenceMatchesPaperS1 pins the paper's first sequence for G3
 // exactly (Table 2, S1). This is what fixes the "average energy vs average
 // current" ambiguity: only average current reproduces it.

@@ -114,25 +114,29 @@ func TestOptionsBatterySpec(t *testing.T) {
 }
 
 // TestRunnerSteadyStateZeroAllocWithSpec extends the zero-alloc
-// guarantee to spec-based options: resolution happens once in New, so
-// the steady state stays allocation-free exactly as for the default
-// configuration.
+// guarantee to spec-based options: resolution happens once in NewBase,
+// so the steady state stays allocation-free exactly as for the default
+// configuration, also when consecutive runs alternate deadlines.
 func TestRunnerSteadyStateZeroAllocWithSpec(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts are meaningless")
 	}
 	spec := battery.Spec{Kind: battery.KindKiBaM, Capacity: 40000, WellFraction: 0.5, RateConstant: 0.1}
-	s := mustScheduler(t, taskgraph.G3(), taskgraph.G3Deadline, Options{Battery: &spec})
-	r := s.NewRunner()
-	if _, err := r.Run(); err != nil {
-		t.Fatalf("warm-up: %v", err)
+	r := mustRunner(t, taskgraph.G3(), Options{Battery: &spec})
+	deadlines := []float64{taskgraph.G3Deadline, 150}
+	for _, d := range deadlines {
+		if _, err := r.Run(d); err != nil {
+			t.Fatalf("warm-up at %g: %v", d, err)
+		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
+		for _, d := range deadlines {
+			if _, err := r.Run(d); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Runner.Run with a battery spec allocates %v per run, want 0", allocs)
+		t.Fatalf("steady-state Runner.Run with a battery spec allocates %v per deadline pair, want 0", allocs)
 	}
 }

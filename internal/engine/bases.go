@@ -23,7 +23,6 @@ type baseKey struct {
 	dpfColumns          core.DPFColumnRule
 	disableResequencing bool
 	recordTrace         bool
-	parallel            bool
 	approx              float64
 }
 
@@ -67,7 +66,6 @@ func (c *baseCache) get(g *taskgraph.Graph, opt core.Options) (*core.SchedulerBa
 		dpfColumns:          o.DPFColumns,
 		disableResequencing: o.DisableResequencing,
 		recordTrace:         o.RecordTrace,
-		parallel:            o.Parallel,
 		approx:              o.Approx,
 	}
 	c.mu.Lock()
