@@ -235,14 +235,12 @@ func (s *Server) decodeJobsBatch(w http.ResponseWriter, r *http.Request) ([]batc
 		s.writeError(w, bodyErrorStatus(err), err)
 		return nil, false
 	}
+	if !s.checkBatchJobs(w, body) {
+		return nil, false
+	}
 	wjobs, ejobs, parseErrs, err := wire.DecodeJobsFull(bytes.NewReader(body))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	if len(wjobs) > s.cfg.MaxBatchJobs {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: batch has %d jobs, limit is %d", len(wjobs), s.cfg.MaxBatchJobs))
 		return nil, false
 	}
 	slots := make([]batchSlot, len(wjobs))

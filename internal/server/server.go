@@ -75,9 +75,11 @@ type Config struct {
 	CacheStore *store.Store
 	// MaxBodyBytes caps a request body; 0 means 16 MB.
 	MaxBodyBytes int64
-	// MaxBatchJobs caps the job lines one /v1/batch request may carry,
-	// bounding the work a single request can pin the host with (the
-	// same threat the wire restart caps close); 0 means 10000.
+	// MaxBatchJobs caps the job lines one /v1/batch, /v1/jobs/batch or
+	// /v1/jobs/stream request may carry, bounding the work a single
+	// request can pin the host with (the same threat the wire restart
+	// caps close); lines are counted before any is decoded. 0 means
+	// 10000.
 	MaxBatchJobs int
 	// RequestTimeout bounds the scheduling work of one request (the
 	// whole batch, not per job); 0 means unbounded. When it fires,
@@ -382,16 +384,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if !s.checkBatchJobs(w, body) {
+		return
+	}
 	// One result slot per non-blank line; a line that fails to decode
 	// keeps its slot and reports its own error (see wire.DecodeJobs).
 	jobs, names, parseErrs, err := wire.DecodeJobs(bytes.NewReader(body))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(jobs) > s.cfg.MaxBatchJobs {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: batch has %d jobs, limit is %d", len(jobs), s.cfg.MaxBatchJobs))
 		return
 	}
 	for i := range jobs {
@@ -435,6 +435,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return // client went away mid-stream; nothing to salvage
 		}
 	}
+}
+
+// checkBatchJobs refuses (413) a batch body with more job lines than
+// MaxBatchJobs. It counts lines without decoding them, so an oversized
+// batch costs no JSON decoding and no graph builds.
+func (s *Server) checkBatchJobs(w http.ResponseWriter, body []byte) bool {
+	if n := wire.CountJobs(body); n > s.cfg.MaxBatchJobs {
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("server: batch has %d jobs, limit is %d", n, s.cfg.MaxBatchJobs))
+		return false
+	}
+	return true
 }
 
 // countCanceled counts results cut short by cancellation (client

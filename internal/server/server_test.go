@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -207,21 +208,98 @@ func TestBatchDeterministicAndCached(t *testing.T) {
 }
 
 // TestBatchJobCap: a batch over the configured job limit is rejected
-// outright (413), before any scheduling work.
+// outright (413), before any scheduling work — on every batch endpoint,
+// and before any line is decoded: an over-limit body of inline graphs
+// costs no graph builds.
 func TestBatchJobCap(t *testing.T) {
 	s := New(Config{MaxBatchJobs: 2})
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	endpoints := []string{"/v1/batch", "/v1/jobs/batch", "/v1/jobs/stream"}
 	body := strings.Repeat(`{"fixture":"g2","deadline":75}`+"\n", 3)
-	resp, data := post(t, ts.URL+"/v1/batch", body)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413 (%s)", resp.StatusCode, data)
+	for _, ep := range endpoints {
+		resp, data := post(t, ts.URL+ep, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status = %d, want 413 (%s)", ep, resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), "limit is 2") {
+			t.Fatalf("%s: error should name the limit: %s", ep, data)
+		}
+		if s.Metrics().JobsTotal != 0 {
+			t.Fatalf("%s: capped batch must not run any jobs", ep)
+		}
 	}
-	if !strings.Contains(string(data), "limit is 2") {
-		t.Fatalf("error should name the limit: %s", data)
+
+	// Three inline G3 graphs, all different: decoding and building them
+	// takes thousands of allocations, refusing the body a few dozen.
+	var graphs strings.Builder
+	for i := 0; i < 3; i++ {
+		spec, err := json.Marshal(taskgraph.G3().ToSpec(fmt.Sprintf("g3-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&graphs, `{"graph":%s,"deadline":230}`+"\n", spec)
 	}
-	if s.Metrics().JobsTotal != 0 {
-		t.Fatal("capped batch must not run any jobs")
+	h := s.Handler()
+	for _, ep := range endpoints {
+		allocs := testing.AllocsPerRun(5, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep, strings.NewReader(graphs.String())))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s: status = %d, want 413", ep, rec.Code)
+			}
+		})
+		if allocs > 200 {
+			t.Errorf("%s: refusing an over-limit batch took %.0f allocations; its lines were decoded", ep, allocs)
+		}
+	}
+}
+
+// TestBatchRepeatedGraphMatchesSchedule: lines repeating one inline
+// graph (decoded once per body and shared) answer, on the sync batch and
+// the ordered async stream alike, exactly the bytes POST /v1/schedule
+// answers for each line alone, index aside.
+func TestBatchRepeatedGraphMatchesSchedule(t *testing.T) {
+	_, ts := newJobsServer(t, Config{Workers: 2})
+	spec, err := json.Marshal(taskgraph.G2().ToSpec(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, tail := range []string{
+		`"deadline":55`,
+		`"deadline":60`,
+		`"deadline":75,"name":"n"`,
+		`"deadline":75,"strategy":"rv-dp"`,
+		`"deadline":1`, // infeasible: an error result
+		`"deadline":68,"battery":{"kind":"ideal"}`,
+	} {
+		lines = append(lines, fmt.Sprintf(`{"graph":%s,%s}`, spec, tail))
+	}
+	want := make([][]byte, len(lines))
+	for i, line := range lines {
+		_, want[i] = post(t, ts.URL+"/v1/schedule", line)
+		if failed := bytes.Contains(want[i], []byte(`"error"`)); failed != (i == 4) {
+			t.Fatalf("line %d: unexpected /v1/schedule answer %s", i, want[i])
+		}
+	}
+	body := strings.Join(lines, "\n")
+	for _, ep := range []string{"/v1/batch", "/v1/jobs/stream?ordered=1"} {
+		resp, data := post(t, ts.URL+ep, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", ep, resp.StatusCode, data)
+		}
+		got := bytes.SplitAfter(data, []byte("\n"))
+		if len(got) != len(lines)+1 || len(got[len(lines)]) != 0 {
+			t.Fatalf("%s: %d result lines for %d jobs:\n%s", ep, len(got)-1, len(lines), data)
+		}
+		for i := range lines {
+			line := bytes.Replace(got[i], []byte(fmt.Sprintf(`{"index":%d,`, i)), []byte(`{"index":0,`), 1)
+			if !bytes.Equal(line, want[i]) {
+				t.Errorf("%s line %d differs from /v1/schedule:\n got %s\nwant %s", ep, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // FuzzDecodeJobs hammers the NDJSON batch decoder with arbitrary bytes.
@@ -113,4 +116,98 @@ func FuzzDecodeJobs(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecodeJobsShared is the differential check of DecodeJobsFull's
+// shared-graph path. The body repeats every non-blank input line, the
+// copy with another deadline or name, so consecutive lines carry the
+// same graph bytes and the copies take the shared path. Slot by slot,
+// DecodeJobsFull must return exactly what DecodeJob followed by
+// ToEngine returns on that line alone: the same wire.Job, the same
+// engine fields, a graph with the same spec and the same error text.
+func FuzzDecodeJobsShared(f *testing.F) {
+	// A cold-sweep-shaped body, at n=14 and 4 deadlines to keep each
+	// execution fast.
+	f.Add(sweepBody(3, 14, 4))
+	const b = `{"tasks":[{"id":1,"points":[{"current":10,"time":1}]},{"id":2,"points":[{"current":20,"time":2}],"parents":[1]}]}`
+	const a = `{"tasks":[{"id":1,"name":"x","points":[{"current":10,"time":1}]},{"id":2,"points":[{"current":20,"time":2}],"parents":[1]}]}`
+	// Two graphs of one length in turn: each copy must build its own.
+	const c = `{"tasks":[{"id":1,"points":[{"current":10,"time":1}]},{"id":2,"points":[{"current":30,"time":2}],"parents":[1]}]}`
+	f.Add([]byte(`{"graph":` + b + `,"deadline":5}` + "\n" + `{"graph":` + c + `,"deadline":5}` + "\n" + `{"graph":` + b + `,"deadline":6}`))
+	// A repeated key merges into the *Spec (task 1 keeps a's name) but
+	// its raw bytes are b's alone. Even-numbered lines get the deadline
+	// variant, which keeps the graph inside the shared prefix.
+	f.Add([]byte(`{"graph":` + b + `,"deadline":5}` + "\n" + `{"fixture":"g2","deadline":75}` + "\n" +
+		`{"graph":` + a + `,"graph":` + b + `,"deadline":5}`))
+	f.Add([]byte(`{"graph":` + b + `,"deadline":5}` + "\n" + `{"Graph":` + b + `,"deadline":7}` + "\n" + `{"GRAPH":` + b + `,"graph":` + b + `,"deadline":9}`))
+	f.Add([]byte(`{"graph":` + b + `,"deadline":5}` + "\n" + `{"graph":null,"fixture":"g2","deadline":75}` + "\n" +
+		`{"graph":null,"graph":` + b + `,"fixture":"g2","deadline":75}` + "\n" + `{"graph":null,"deadline":5}`))
+	f.Add([]byte(`{"graph":` + b + `,"deadline":5}` + "\n" + `{"graph":` + b + `,"deadline":0}` + "\n" +
+		`{"graph":` + b + `,"deadline":5,"strategy":"nonsense"}` + "\n" + `{"graph":` + b + `,"fixture":"g2","deadline":5}`))
+	f.Add([]byte(`{"graph":` + b + `,"deadline":5}` + "\n" + `{"graph":` + b + `,"deadline":5}{"deadline":6}` + "\n" +
+		`{"graph":` + b + `,"deadline":5}]` + "\n" + `{"graph":` + b + `,"deadline":5} x`))
+	f.Add([]byte(`{"name":"n","graph":{"tasks":[{"id":1,"points":[{"current":-10,"time":1}]}]},"deadline":5}` + "\n" +
+		`{"name":"n","graph":{"tasks":[{"id":1,"points":[{"current":10,"time":1}]}],"extra":1},"deadline":5}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lines [][]byte
+		for i, l := range bytes.Split(data, []byte("\n")) {
+			if l = bytes.TrimSpace(l); len(l) > 0 {
+				lines = append(lines, l, lineVariant(l, i))
+			}
+		}
+		body := bytes.Join(lines, []byte("\n"))
+		wjobs, jobs, errs, err := DecodeJobsFull(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("stream error on an in-memory body: %v", err)
+		}
+		if len(wjobs) != len(lines) {
+			t.Fatalf("%d slots for %d lines", len(wjobs), len(lines))
+		}
+		for i, line := range lines {
+			assertSameAsPerLine(t, i, line, wjobs[i], jobs[i], errs[i])
+		}
+	})
+}
+
+// lineVariant returns a copy of line with a digit prefixed to its
+// deadline (even i) or a letter to its name (odd i), whichever key it
+// has; an unchanged copy when it has neither.
+func lineVariant(line []byte, i int) []byte {
+	keys := []string{`"deadline":`, `"name":"`}
+	if i%2 == 1 {
+		keys[0], keys[1] = keys[1], keys[0]
+	}
+	for _, key := range keys {
+		if k := bytes.Index(line, []byte(key)); k >= 0 {
+			k += len(key)
+			return append(append(append([]byte(nil), line[:k]...), '1'), line[k:]...)
+		}
+	}
+	return append([]byte(nil), line...)
+}
+
+// assertSameAsPerLine fails unless a DecodeJobsFull slot equals the
+// result of decoding its line on its own.
+func assertSameAsPerLine(t *testing.T, i int, line []byte, wjob Job, ejob engine.Job, err error) {
+	t.Helper()
+	want, werr := DecodeJob(line)
+	var wantE engine.Job
+	if werr == nil {
+		wantE, werr = want.ToEngine()
+	}
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+		t.Fatalf("line %d %q: error %v, per-line %v", i, line, err, werr)
+	}
+	if !reflect.DeepEqual(wjob, want) {
+		t.Fatalf("line %d %q: wire job %+v, per-line %+v", i, line, wjob, want)
+	}
+	g, wantG := ejob.Graph, wantE.Graph
+	ejob.Graph, wantE.Graph = nil, nil
+	if !reflect.DeepEqual(ejob, wantE) {
+		t.Fatalf("line %d %q: engine job %+v, per-line %+v", i, line, ejob, wantE)
+	}
+	if (g == nil) != (wantG == nil) || g != nil && !reflect.DeepEqual(g.ToSpec(""), wantG.ToSpec("")) {
+		t.Fatalf("line %d %q: graph differs from the per-line build", i, line)
+	}
 }

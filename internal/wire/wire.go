@@ -290,19 +290,23 @@ func DecodeJobs(r io.Reader) (jobs []engine.Job, names []string, errs []error, e
 // carry (the async queue's priority and ttl_ms). The slices are
 // parallel; a line that failed to decode holds zero-value placeholders
 // in both job slices and its error in errs.
+//
+// Consecutive lines whose inline "graph" values are byte-identical —
+// one graph swept over several deadlines — decode and build that graph
+// once: their wire jobs share one *taskgraph.Spec and their engine jobs
+// one *taskgraph.Graph. Both are read-only from here on; callers must
+// not mutate them. Every result, error text included, equals that of
+// DecodeJob followed by ToEngine on each line alone.
 func DecodeJobsFull(r io.Reader) (wjobs []Job, jobs []engine.Job, errs []error, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26) // inline graphs can be large
+	sc.Buffer(nil, 1<<26) // inline graphs can be large
+	var sd sharedDecoder
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var ejob engine.Job
-		job, perr := DecodeJob(line)
-		if perr == nil {
-			ejob, perr = job.ToEngine()
-		}
+		job, ejob, perr := sd.decode(line)
 		wjobs = append(wjobs, job)
 		jobs = append(jobs, ejob)
 		errs = append(errs, perr)
@@ -311,6 +315,122 @@ func DecodeJobsFull(r io.Reader) (wjobs []Job, jobs []engine.Job, errs []error, 
 		return nil, nil, nil, fmt.Errorf("reading jobs: %w", serr)
 	}
 	return wjobs, jobs, errs, nil
+}
+
+// CountJobs returns the number of slots DecodeJobs would return for
+// data — its non-blank lines — without decoding any of them, so a
+// front end can refuse an oversized batch before paying for it.
+func CountJobs(data []byte) int {
+	n := 0
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if len(bytes.TrimSpace(line)) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// sharedDecoder decodes the lines of one NDJSON body, building an
+// inline graph once for a run of consecutive lines that repeat it.
+type sharedDecoder struct {
+	prev  []byte // the previous non-blank line
+	raw   rawGraph
+	graph []byte // bytes of the kept graph; nil when none is kept
+	spec  *taskgraph.Spec
+	g     *taskgraph.Graph
+}
+
+// rawGraph keeps an inline graph's bytes undecoded and counts how often
+// the key occurred: a repeated key merges into a *Spec field but would
+// replace raw bytes, so such a line cannot take the shared path.
+type rawGraph struct {
+	b []byte
+	n int
+}
+
+func (r *rawGraph) UnmarshalJSON(data []byte) error {
+	r.b = append(r.b[:0], data...)
+	r.n++
+	return nil
+}
+
+// rawGraphJob is a job line with its graph kept raw: the outer field
+// shadows Job.Graph, so Job.Graph stays nil. A "graph":null value
+// resets the pointer, which is how decodeShared detects it.
+type rawGraphJob struct {
+	Job
+	Graph *rawGraph `json:"graph"`
+}
+
+// decode decodes one non-blank line. A line whose common prefix with
+// the previous line covers at least half of it — a repeated graph
+// followed by a short tail — takes the shared path; every other line,
+// and every line the shared path cannot reproduce exactly, decodes on
+// its own through DecodeJob and ToEngine.
+func (sd *sharedDecoder) decode(line []byte) (Job, engine.Job, error) {
+	half := (len(line) + 1) / 2
+	repeats := len(sd.prev) >= half && bytes.Equal(line[:half], sd.prev[:half])
+	sd.prev = append(sd.prev[:0], line...)
+	if repeats {
+		if job, ejob, ok := sd.decodeShared(line); ok {
+			return job, ejob, nil
+		}
+	}
+	job, err := DecodeJob(line)
+	if err != nil {
+		return job, engine.Job{}, err
+	}
+	ejob, err := job.ToEngine()
+	return job, ejob, err
+}
+
+// decodeShared decodes line with its graph raw, reusing the kept graph
+// when the bytes match and keeping the line's own otherwise. ok is
+// false when the line must be decoded on its own instead: a decode
+// error, trailing data, a repeated or null graph key, or a ToEngine
+// failure, so that error texts stay exactly DecodeJob's and
+// ToEngine's.
+func (sd *sharedDecoder) decodeShared(line []byte) (Job, engine.Job, bool) {
+	sd.raw.n = 0
+	x := rawGraphJob{Graph: &sd.raw}
+	if !decodeOne(line, &x) || x.Graph != &sd.raw || sd.raw.n > 1 {
+		return Job{}, engine.Job{}, false
+	}
+	job := x.Job
+	if sd.raw.n == 0 {
+		// No graph key: the line decoded exactly as DecodeJob would.
+		ejob, err := job.ToEngine()
+		return job, ejob, err == nil
+	}
+	if !bytes.Equal(sd.raw.b, sd.graph) {
+		var spec taskgraph.Spec
+		if !decodeOne(sd.raw.b, &spec) {
+			return Job{}, engine.Job{}, false
+		}
+		g, err := taskgraph.FromSpec(spec)
+		if err != nil {
+			return Job{}, engine.Job{}, false
+		}
+		sd.graph, sd.raw.b = sd.raw.b, sd.graph[:0]
+		sd.spec, sd.g = &spec, g
+	}
+	job.Graph = sd.spec
+	ejob, err := job.toEngine(sd.g)
+	return job, ejob, err == nil
+}
+
+// decodeOne strictly decodes data into v as DecodeJob does, reporting
+// success without trailing data.
+func decodeOne(data []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v) == nil && !dec.More()
 }
 
 // finite reports whether v is an ordinary number (not NaN, not ±Inf).
@@ -369,12 +489,16 @@ func (j Job) label() string {
 }
 
 // ToEngine validates the job and resolves its graph into an engine job.
-// It is the conversion boundary the wire schema exists for, so battlint
-// checks that every exported wire.Job field is read here: a field this
-// function drops is a knob the API silently ignores.
+// It is the conversion boundary the wire schema exists for.
+func (j Job) ToEngine() (engine.Job, error) { return j.toEngine(nil) }
+
+// toEngine is ToEngine with the inline graph optionally prebuilt: a
+// non-nil built must be the graph j.Graph builds to, and is used as is.
+// battlint checks that every exported wire.Job field is read here: a
+// field this function drops is a knob the API silently ignores.
 //
 //battlint:canonical Job
-func (j Job) ToEngine() (engine.Job, error) {
+func (j Job) toEngine(built *taskgraph.Graph) (engine.Job, error) {
 	spec := j.Battery
 	if j.Beta != 0 {
 		// The "beta" shorthand is parsed into its rakhmatov spec here, at
@@ -407,11 +531,13 @@ func (j Job) ToEngine() (engine.Job, error) {
 		job.Graph = g
 		return job, nil
 	}
-	g, err := taskgraph.FromSpec(*j.Graph)
-	if err != nil {
-		return job, fmt.Errorf("job %s: %w", j.label(), err)
+	if built == nil {
+		var err error
+		if built, err = taskgraph.FromSpec(*j.Graph); err != nil {
+			return job, fmt.Errorf("job %s: %w", j.label(), err)
+		}
 	}
-	job.Graph = g
+	job.Graph = built
 	return job, nil
 }
 

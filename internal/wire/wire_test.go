@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -218,5 +219,75 @@ func TestFromEngineCanceledCode(t *testing.T) {
 	ok := FromEngine(0, engine.RunBatch([]engine.Job{{Graph: taskgraph.G2(), Deadline: 75}}, 1)[0])
 	if ok.Code != "" || ok.Error != "" {
 		t.Fatalf("success must carry no code: %+v", ok)
+	}
+}
+
+// TestDecodeJobsSharesRepeatedGraph: a deadline sweep's lines share one
+// spec and one built graph from the second line on (the first line has
+// no previous line to match), and every slot still equals its line
+// decoded alone.
+func TestDecodeJobsSharesRepeatedGraph(t *testing.T) {
+	body := sweepBody(1, 80, 8)
+	wjobs, jobs, errs, err := DecodeJobsFull(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	if len(jobs) != 8 || len(lines) != 8 {
+		t.Fatalf("%d jobs from %d lines, want 8", len(jobs), len(lines))
+	}
+	for i, line := range lines {
+		assertSameAsPerLine(t, i, line, wjobs[i], jobs[i], errs[i])
+	}
+	if jobs[0].Graph == jobs[1].Graph || wjobs[0].Graph == wjobs[1].Graph {
+		t.Fatal("the first line decodes on its own and must not share")
+	}
+	for i := 2; i < len(jobs); i++ {
+		if jobs[i].Graph != jobs[1].Graph || wjobs[i].Graph != wjobs[1].Graph {
+			t.Fatalf("line %d does not share line 1's graph", i)
+		}
+	}
+}
+
+// TestDecodeJobsLongLine: lines far beyond the scanner's initial
+// buffer (here 1.5 MiB each) still decode, repeated ones included.
+func TestDecodeJobsLongLine(t *testing.T) {
+	name := strings.Repeat("a", 3<<19)
+	graph := `{"name":"` + name + `","tasks":[{"id":1,"points":[{"current":10,"time":1}]}]}`
+	body := `{"graph":` + graph + `,"deadline":5}` + "\n" + `{"graph":` + graph + `,"deadline":6}` + "\n" +
+		`{"name":"` + name + `","fixture":"g2","deadline":75}`
+	wjobs, jobs, errs, err := DecodeJobsFull(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 3 {
+		t.Fatalf("%d jobs, want 3", len(jobs))
+	}
+	for i := range jobs {
+		if errs[i] != nil || jobs[i].Graph == nil {
+			t.Fatalf("line %d: %v", i, errs[i])
+		}
+	}
+	if wjobs[1].Graph.Name != name || jobs[1].Deadline != 6 || wjobs[2].Name != name {
+		t.Fatal("long fields did not survive decoding")
+	}
+}
+
+// TestCountJobs: CountJobs counts exactly the slots DecodeJobs returns.
+func TestCountJobs(t *testing.T) {
+	for _, body := range []string{
+		"",
+		"\n \r\n\t\n",
+		`{"fixture":"g2","deadline":75}`,
+		"not json\n\n{\"fixture\":\"g2\",\"deadline\":75}\r\n  \n{}",
+		"\n\n{}\n",
+	} {
+		jobs, _, _, err := DecodeJobs(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := CountJobs([]byte(body)); n != len(jobs) {
+			t.Errorf("CountJobs(%q) = %d, DecodeJobs has %d slots", body, n, len(jobs))
+		}
 	}
 }
