@@ -19,7 +19,7 @@
 //	b.AddEdge(1, 2)
 //	g, err := b.Build()
 //	// handle err
-//	res, err := battsched.Run(g, 7.0, battsched.Options{})
+//	res, err := battsched.Run(context.Background(), g, 7.0, battsched.Options{})
 //	// res.Schedule, res.Cost (mA·min), res.Duration …
 //
 // The paper's two benchmark graphs are available as G2() (robotic arm
@@ -120,9 +120,11 @@ const MaxApprox = core.MaxApprox
 // misses the deadline.
 var ErrDeadlineInfeasible = core.ErrDeadlineInfeasible
 
-// ErrCanceled marks a batch job cut short by its context or timeout —
-// whether it never started or was aborted mid-search. Match it with
-// errors.Is on BatchResult.Err.
+// ErrCanceled marks a batch or cached job cut short by its context or
+// timeout — whether it never started or was aborted mid-search. Match
+// it with errors.Is on BatchResult.Err or RunCached's error; the same
+// error also matches the context's own (context.Canceled or
+// context.DeadlineExceeded).
 var ErrCanceled = engine.ErrCanceled
 
 // BatteryModel estimates the apparent charge a discharge profile draws.
@@ -189,20 +191,11 @@ func New(g *Graph, deadline float64, opt Options) (*Scheduler, error) {
 }
 
 // Run schedules the graph against the deadline with the paper's iterative
-// algorithm and returns the best schedule found.
-func Run(g *Graph, deadline float64, opt Options) (*Result, error) {
-	s, err := core.New(g, deadline, opt)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
-}
-
-// RunContext is Run with cooperative cancellation: the iterative search
-// checks ctx between iterations, windows and sequence positions, so it
-// stops promptly — returning ctx.Err() — once the caller gives up. A
-// run that completes is bit-identical to Run's.
-func RunContext(ctx context.Context, g *Graph, deadline float64, opt Options) (*Result, error) {
+// algorithm and returns the best schedule found. The search checks ctx
+// between iterations, windows and sequence positions, so it stops
+// promptly — returning ctx.Err() — once the caller gives up; a run that
+// completes does not depend on ctx.
+func Run(ctx context.Context, g *Graph, deadline float64, opt Options) (*Result, error) {
 	s, err := core.New(g, deadline, opt)
 	if err != nil {
 		return nil, err
@@ -259,19 +252,9 @@ type MultiStartOptions = core.MultiStartOptions
 
 // RunMultiStart runs the algorithm from its deterministic initial sequence
 // plus several seeded random topological orders and returns the best
-// result found (never worse than Run's).
-func RunMultiStart(g *Graph, deadline float64, opt Options, ms MultiStartOptions) (*Result, error) {
-	s, err := core.New(g, deadline, opt)
-	if err != nil {
-		return nil, err
-	}
-	return core.RunMultiStart(s, ms)
-}
-
-// RunMultiStartContext is RunMultiStart with cooperative cancellation:
-// ctx is checked between restarts and inside each restart's search, and
-// a completed search is bit-identical to RunMultiStart's.
-func RunMultiStartContext(ctx context.Context, g *Graph, deadline float64, opt Options, ms MultiStartOptions) (*Result, error) {
+// result found (never worse than Run's). ctx is checked between restarts
+// and inside each restart's search.
+func RunMultiStart(ctx context.Context, g *Graph, deadline float64, opt Options, ms MultiStartOptions) (*Result, error) {
 	s, err := core.New(g, deadline, opt)
 	if err != nil {
 		return nil, err
@@ -288,10 +271,6 @@ type BatchJob = engine.Job
 // of a batch-wide failure.
 type BatchResult = engine.Result
 
-// BatchEngine executes batches of scheduling jobs over a bounded worker
-// pool; the zero value bounds the pool at GOMAXPROCS.
-type BatchEngine = engine.Engine
-
 // BatchStrategies returns the canonical strategy names RunBatch accepts.
 func BatchStrategies() []string { return engine.Strategies() }
 
@@ -299,16 +278,11 @@ func BatchStrategies() []string { return engine.Strategies() }
 // (0 means GOMAXPROCS) and returns one result per job, in input order.
 // Failures land in BatchResult.Err; RunBatch itself never fails, and its
 // output is byte-deterministic for a fixed batch regardless of workers.
-func RunBatch(jobs []BatchJob, workers int) []BatchResult {
-	return engine.RunBatch(jobs, workers)
-}
-
-// RunBatchContext is RunBatch with request-scoped cancellation: once
-// ctx is done, jobs not yet started are marked ErrCanceled without
+// Once ctx is done, jobs not yet started are marked ErrCanceled without
 // running, in-flight iterative searches abort at their next cooperative
 // check, and jobs that completed first keep results bit-identical to an
 // uncancelled run's. Per-job budgets go in BatchJob.Timeout.
-func RunBatchContext(ctx context.Context, jobs []BatchJob, workers int) []BatchResult {
+func RunBatch(ctx context.Context, jobs []BatchJob, workers int) []BatchResult {
 	return engine.RunBatchContext(ctx, jobs, workers)
 }
 
@@ -332,13 +306,14 @@ func NewCache(maxEntries int) *Cache { return cache.New(maxEntries) }
 // options) triple answers from memory, and identical concurrent calls
 // compute once. Results are deep copies, so callers may mutate them
 // freely. A nil cache or Options.RecordTrace (the trace is not cached)
-// falls back to a plain Run.
-func RunCached(c *Cache, g *Graph, deadline float64, opt Options) (*Result, error) {
+// falls back to a plain Run. A canceled call fails with ErrCanceled
+// (wrapping ctx's error) and stores nothing.
+func RunCached(ctx context.Context, c *Cache, g *Graph, deadline float64, opt Options) (*Result, error) {
 	if c == nil || opt.RecordTrace {
-		return Run(g, deadline, opt)
+		return Run(ctx, g, deadline, opt)
 	}
 	ce := cache.Engine{Cache: c, Workers: 1}
-	res, _ := ce.Run(engine.Job{Graph: g, Deadline: deadline, Options: opt})
+	res, _ := ce.RunContext(ctx, engine.Job{Graph: g, Deadline: deadline, Options: opt})
 	if res.Err != nil {
 		return nil, res.Err
 	}
@@ -355,19 +330,11 @@ func RunCached(c *Cache, g *Graph, deadline float64, opt Options) (*Result, erro
 // within the batch or across batches sharing the cache — are answered
 // from memory, and identical jobs in flight at the same time compute
 // once. The results are identical to RunBatch's for any workers value
-// and any cache state.
-func RunBatchCached(c *Cache, jobs []BatchJob, workers int) []BatchResult {
-	ce := cache.Engine{Cache: c, Workers: workers}
-	results, _ := ce.RunBatch(jobs)
-	return results
-}
-
-// RunBatchCachedContext is RunBatchCached with request-scoped
-// cancellation. A canceled caller detaches from any single-flight
+// and any cache state. A canceled caller detaches from any single-flight
 // computation it was waiting on without poisoning it for other waiters,
 // and a computation aborted by cancellation is never stored — the cache
 // only ever holds results of completed, deterministic runs.
-func RunBatchCachedContext(ctx context.Context, c *Cache, jobs []BatchJob, workers int) []BatchResult {
+func RunBatchCached(ctx context.Context, c *Cache, jobs []BatchJob, workers int) []BatchResult {
 	ce := cache.Engine{Cache: c, Workers: workers}
 	results, _ := ce.RunBatchContext(ctx, jobs)
 	return results

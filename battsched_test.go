@@ -1,6 +1,7 @@
 package battsched_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -27,7 +28,7 @@ func smallGraph(t *testing.T) *battsched.Graph {
 
 func TestFacadeRun(t *testing.T) {
 	g := smallGraph(t)
-	res, err := battsched.Run(g, 8, battsched.Options{})
+	res, err := battsched.Run(context.Background(), g, 8, battsched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestFacadeRunner(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, d := range []float64{230, 150} {
-			want, err := battsched.Run(g, d, battsched.Options{})
+			want, err := battsched.Run(context.Background(), g, d, battsched.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +73,7 @@ func TestFacadeRunner(t *testing.T) {
 
 func TestFacadeInfeasible(t *testing.T) {
 	g := smallGraph(t)
-	if _, err := battsched.Run(g, 2.5, battsched.Options{}); !errors.Is(err, battsched.ErrDeadlineInfeasible) {
+	if _, err := battsched.Run(context.Background(), g, 2.5, battsched.Options{}); !errors.Is(err, battsched.ErrDeadlineInfeasible) {
 		t.Fatalf("want ErrDeadlineInfeasible, got %v", err)
 	}
 }
@@ -127,7 +128,7 @@ func TestFacadeBatteryAndLifetime(t *testing.T) {
 
 func TestFacadeSimulate(t *testing.T) {
 	g := smallGraph(t)
-	res, err := battsched.Run(g, 8, battsched.Options{})
+	res, err := battsched.Run(context.Background(), g, 8, battsched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +174,11 @@ func TestFacadeRunWithIdle(t *testing.T) {
 
 func TestFacadeMultiStart(t *testing.T) {
 	g := battsched.G2()
-	base, err := battsched.Run(g, 75, battsched.Options{})
+	base, err := battsched.Run(context.Background(), g, 75, battsched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := battsched.RunMultiStart(g, 75, battsched.Options{}, battsched.MultiStartOptions{Restarts: 4, Seed: 1})
+	multi, err := battsched.RunMultiStart(context.Background(), g, 75, battsched.Options{}, battsched.MultiStartOptions{Restarts: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestFacadeRunBatch(t *testing.T) {
 			MultiStart: battsched.MultiStartOptions{Restarts: 4, Seed: 1, Workers: 4}},
 		{Name: "bad", Graph: battsched.G3(), Deadline: 1},
 	}
-	results := battsched.RunBatch(jobs, 0)
+	results := battsched.RunBatch(context.Background(), jobs, 0)
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results, want %d", len(results), len(jobs))
 	}
@@ -208,6 +209,52 @@ func TestFacadeRunBatch(t *testing.T) {
 	}
 	if len(battsched.BatchStrategies()) < 7 {
 		t.Fatalf("strategies = %v", battsched.BatchStrategies())
+	}
+}
+
+// TestFacadeCanceled: a canceled ctx reaches every context-taking run
+// function, and the error each reports — returned, or as a per-job Err
+// — matches context.Canceled whichever layer noticed it. The batch and
+// cached paths also match ErrCanceled, and store nothing.
+func TestFacadeCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := battsched.G3()
+	opt := battsched.Options{}
+	ms := battsched.MultiStartOptions{Restarts: 2, Seed: 1}
+	jobs := []battsched.BatchJob{
+		{Name: "iter", Graph: g, Deadline: battsched.G3Deadline},
+		{Name: "ms", Graph: g, Deadline: 150, Strategy: "multistart", MultiStart: ms},
+		{Name: "rv", Graph: g, Deadline: 150, Strategy: "rv-dp"},
+	}
+	canceled := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want a match for context.Canceled", what, err)
+		}
+	}
+
+	_, err := battsched.Run(ctx, g, battsched.G3Deadline, opt)
+	canceled("Run", err)
+	_, err = battsched.RunMultiStart(ctx, g, battsched.G3Deadline, opt, ms)
+	canceled("RunMultiStart", err)
+	c := battsched.NewCache(0)
+	_, err = battsched.RunCached(ctx, c, g, battsched.G3Deadline, opt)
+	canceled("RunCached", err)
+	if !errors.Is(err, battsched.ErrCanceled) {
+		t.Errorf("RunCached: err = %v, want ErrCanceled", err)
+	}
+	for _, r := range battsched.RunBatch(ctx, jobs, 2) {
+		canceled("RunBatch job "+r.Name, r.Err)
+	}
+	for _, r := range battsched.RunBatchCached(ctx, c, jobs, 2) {
+		canceled("RunBatchCached job "+r.Name, r.Err)
+		if !errors.Is(r.Err, battsched.ErrCanceled) || r.Schedule != nil {
+			t.Errorf("RunBatchCached job %s: %+v, want ErrCanceled and no schedule", r.Name, r)
+		}
+	}
+	if n := c.Len(); n != 0 {
+		t.Errorf("canceled runs stored %d cache entries, want 0", n)
 	}
 }
 
@@ -256,7 +303,7 @@ func TestFacadePaperHeadline(t *testing.T) {
 	} {
 		for _, d := range tc.ds {
 			total++
-			res, err := battsched.Run(tc.g, d, battsched.Options{})
+			res, err := battsched.Run(context.Background(), tc.g, d, battsched.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +338,7 @@ func TestFacadeBatterySpec(t *testing.T) {
 	if spec.Kind != battsched.BatteryKindKiBaM {
 		t.Fatalf("parsed kind %q", spec.Kind)
 	}
-	res, err := battsched.Run(g, 8, battsched.Options{Battery: &spec})
+	res, err := battsched.Run(context.Background(), g, 8, battsched.Options{Battery: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +348,11 @@ func TestFacadeBatterySpec(t *testing.T) {
 
 	// The default spec reproduces the zero-options run bit-for-bit.
 	def := battsched.DefaultBatterySpec()
-	viaSpec, err := battsched.Run(g, 8, battsched.Options{Battery: &def})
+	viaSpec, err := battsched.Run(context.Background(), g, 8, battsched.Options{Battery: &def})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := battsched.Run(g, 8, battsched.Options{})
+	plain, err := battsched.Run(context.Background(), g, 8, battsched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,11 +364,11 @@ func TestFacadeBatterySpec(t *testing.T) {
 	// Spec jobs cache: second identical cached run is served from
 	// memory (stats show the hit) with an equal result.
 	c := battsched.NewCache(0)
-	first, err := battsched.RunCached(c, g, 8, battsched.Options{Battery: &spec})
+	first, err := battsched.RunCached(context.Background(), c, g, 8, battsched.Options{Battery: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := battsched.RunCached(c, g, 8, battsched.Options{Battery: &spec})
+	second, err := battsched.RunCached(context.Background(), c, g, 8, battsched.Options{Battery: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}

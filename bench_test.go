@@ -11,6 +11,7 @@
 package battsched_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -138,7 +139,7 @@ func BenchmarkFigure5G2CaseStudy(b *testing.B) {
 // 15-interval profile (the scheduler's innermost cost call).
 func BenchmarkBatterySigma(b *testing.B) {
 	g := taskgraph.G3()
-	res, err := battsched.Run(g, 230, battsched.Options{})
+	res, err := battsched.Run(context.Background(), g, 230, battsched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -454,7 +455,7 @@ func BenchmarkBatch(b *testing.B) {
 func BenchmarkIdleOptimization(b *testing.B) {
 	g := taskgraph.G3()
 	deadline := g.MaxTotalTime() * 1.2
-	res, err := battsched.Run(g, deadline, battsched.Options{})
+	res, err := battsched.Run(context.Background(), g, deadline, battsched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -512,20 +513,20 @@ func BenchmarkCachedRun(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// A fresh cache each iteration: every run computes.
 			c := battsched.NewCache(4)
-			if _, err := battsched.RunCached(c, g, 230, battsched.Options{}); err != nil {
+			if _, err := battsched.RunCached(context.Background(), c, g, 230, battsched.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		c := battsched.NewCache(4)
-		if _, err := battsched.RunCached(c, g, 230, battsched.Options{}); err != nil {
+		if _, err := battsched.RunCached(context.Background(), c, g, 230, battsched.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := battsched.RunCached(c, g, 230, battsched.Options{}); err != nil {
+			if _, err := battsched.RunCached(context.Background(), c, g, 230, battsched.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -539,7 +540,7 @@ func BenchmarkCachedRun(b *testing.B) {
 // schedule with battery-death checking.
 func BenchmarkSimulation(b *testing.B) {
 	g := taskgraph.G3()
-	res, err := battsched.Run(g, 230, battsched.Options{})
+	res, err := battsched.Run(context.Background(), g, 230, battsched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package battsched_test
 
 import (
+	"context"
 	"fmt"
 
 	battsched "repro"
@@ -20,7 +21,7 @@ func ExampleRun() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := battsched.Run(g, 8, battsched.Options{})
+	res, err := battsched.Run(context.Background(), g, 8, battsched.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -78,11 +79,11 @@ func ExampleRunCached() {
 	c := battsched.NewCache(0) // 0 = default 1024-entry bound
 	g := battsched.G3()
 
-	first, err := battsched.RunCached(c, g, 230, battsched.Options{})
+	first, err := battsched.RunCached(context.Background(), c, g, 230, battsched.Options{})
 	if err != nil {
 		panic(err)
 	}
-	second, err := battsched.RunCached(c, g, 230, battsched.Options{})
+	second, err := battsched.RunCached(context.Background(), c, g, 230, battsched.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -105,7 +106,7 @@ func ExampleRunBatchCached() {
 		{Name: "duplicate-of-a", Graph: battsched.G3(), Deadline: 230},
 		{Name: "b", Graph: battsched.G2(), Deadline: 75},
 	}
-	results := battsched.RunBatchCached(c, jobs, 1)
+	results := battsched.RunBatchCached(context.Background(), c, jobs, 1)
 	for _, r := range results {
 		if r.Err != nil {
 			panic(r.Err)
@@ -114,7 +115,7 @@ func ExampleRunBatchCached() {
 	fmt.Println("same cost:", results[0].Cost == results[1].Cost)
 
 	// A second batch over the same cache answers entirely from memory.
-	again := battsched.RunBatchCached(c, jobs, 2)
+	again := battsched.RunBatchCached(context.Background(), c, jobs, 2)
 	st := c.Stats()
 	fmt.Printf("computed %d unique jobs for %d requests\n", st.Misses, st.Misses+st.Hits+st.Dedups)
 	fmt.Println("stable:", again[2].Cost == results[2].Cost)
@@ -129,7 +130,7 @@ func ExampleRunBatchCached() {
 func ExampleRunBaselineRV() {
 	g := battsched.G3()
 	m := battsched.NewRakhmatov(battsched.DefaultBeta)
-	ours, err := battsched.Run(g, 150, battsched.Options{})
+	ours, err := battsched.Run(context.Background(), g, 150, battsched.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,7 @@ func main() {
 	// 3. Schedule against the calibrated model — through the validated
 	// spec path, the same construction every other front end uses.
 	const period = 25.0
-	res, err := battsched.Run(g, period, battsched.Options{Battery: &spec})
+	res, err := battsched.Run(context.Background(), g, period, battsched.Options{Battery: &spec})
 	if err != nil {
 		log.Fatal(err)
 	}

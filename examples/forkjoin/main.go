@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 	fmt.Printf("G3: %d tasks x 5 design points, fork-join; deadline %.0f min, beta %.3f\n\n",
 		g.N(), battsched.G3Deadline, battsched.DefaultBeta)
 
-	res, err := battsched.Run(g, battsched.G3Deadline, battsched.Options{RecordTrace: true})
+	res, err := battsched.Run(context.Background(), g, battsched.G3Deadline, battsched.Options{RecordTrace: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func main() {
 	}
 
 	const deadline = 60.0
-	res, err := battsched.Run(g, deadline, battsched.Options{})
+	res, err := battsched.Run(context.Background(), g, deadline, battsched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -47,7 +48,7 @@ func main() {
 	}
 	for i := range specs {
 		spec := specs[i]
-		res, err := battsched.Run(g, deadline, battsched.Options{Battery: &spec})
+		res, err := battsched.Run(context.Background(), g, deadline, battsched.Options{Battery: &spec})
 		if err != nil {
 			log.Fatalf("%s: %v", spec, err)
 		}

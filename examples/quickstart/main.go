@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ func main() {
 	}
 
 	const deadline = 12.0 // minutes — tight: only ~23% slack over the fastest schedule
-	res, err := battsched.Run(g, deadline, battsched.Options{})
+	res, err := battsched.Run(context.Background(), g, deadline, battsched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

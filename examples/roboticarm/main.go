@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 	paper := map[float64][2]float64{55: {30913, 35739}, 75: {13751, 13885}, 95: {7961, 8517}}
 	var best *battsched.Schedule
 	for _, d := range battsched.G2Deadlines() {
-		res, err := battsched.Run(g, d, battsched.Options{})
+		res, err := battsched.Run(context.Background(), g, d, battsched.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -47,7 +48,7 @@ func main() {
 		lo, hi := tc.g.MinTotalTime()*1.02, tc.g.MaxTotalTime()*1.02
 		for k := 0; k < 10; k++ {
 			d := math.Round((lo+(hi-lo)*float64(k)/9)*10) / 10
-			res, err := battsched.Run(tc.g, d, battsched.Options{})
+			res, err := battsched.Run(context.Background(), tc.g, d, battsched.Options{})
 			if err != nil {
 				continue
 			}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"syscall"
@@ -156,7 +157,7 @@ func TestCacheDegradesToMemoryOnly(t *testing.T) {
 
 	// Each unique key: clean disk miss, compute, failed write-through.
 	for i := 0; i < 3; i++ {
-		got, cached := c.Do(key(i), func() engine.Result { return res(i) })
+		got, cached := c.DoContext(context.Background(), key(i), func() engine.Result { return res(i) })
 		if cached || got.Cost != float64(i) {
 			t.Fatalf("Do(%d): cached=%v cost=%v", i, cached, got.Cost)
 		}
@@ -168,12 +169,12 @@ func TestCacheDegradesToMemoryOnly(t *testing.T) {
 	// Degraded: serving continues, disk untouched.
 	writesBefore := in.Count(fault.OpSync)
 	for i := 3; i < 6; i++ {
-		if got, _ := c.Do(key(i), func() engine.Result { return res(i) }); got.Cost != float64(i) {
+		if got, _ := c.DoContext(context.Background(), key(i), func() engine.Result { return res(i) }); got.Cost != float64(i) {
 			t.Fatalf("degraded Do(%d): cost=%v", i, got.Cost)
 		}
 	}
 	// Memory hits still work.
-	if got, cached := c.Do(key(3), func() engine.Result {
+	if got, cached := c.DoContext(context.Background(), key(3), func() engine.Result {
 		t.Fatal("memory hit recomputed")
 		return engine.Result{}
 	}); !cached || got.Cost != 3 {
@@ -215,7 +216,7 @@ func TestCacheBreakerRecovery(t *testing.T) {
 
 	key := func(i int) string { return fmt.Sprintf("%064x", i+1) }
 	for i := 0; i < 3; i++ {
-		c.Do(key(i), func() engine.Result { return engine.Result{Strategy: "iterative"} })
+		c.DoContext(context.Background(), key(i), func() engine.Result { return engine.Result{Strategy: "iterative"} })
 	}
 	if got := c.DiskBreakerState(); got != breakerOpen {
 		t.Fatalf("state = %s, want open", got)
@@ -224,13 +225,13 @@ func TestCacheBreakerRecovery(t *testing.T) {
 	// Probe interval elapses; the next disk op is the probe. It is a
 	// clean read (miss, no error), which closes the breaker.
 	clk.advance(11 * time.Second)
-	c.Do(key(10), func() engine.Result { return engine.Result{Strategy: "iterative"} })
+	c.DoContext(context.Background(), key(10), func() engine.Result { return engine.Result{Strategy: "iterative"} })
 	if got := c.DiskBreakerState(); got != breakerClosed {
 		t.Fatalf("state after healed probe = %s, want closed", got)
 	}
 
 	// Write-through is live again: a new compute reaches the disk.
-	c.Do(key(11), func() engine.Result { return engine.Result{Strategy: "iterative"} })
+	c.DoContext(context.Background(), key(11), func() engine.Result { return engine.Result{Strategy: "iterative"} })
 	if st.Len() == 0 {
 		t.Error("no entries on disk after recovery — write-through did not resume")
 	}

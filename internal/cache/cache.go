@@ -15,9 +15,9 @@
 //     LRU: memory misses consult it before computing, disk hits are
 //     promoted into memory, and computed results are written through,
 //     so the cache survives a process restart.
-//   - Engine: a drop-in cached counterpart of engine.Engine. Its
-//     RunBatch has the same ordering, per-job-error and determinism
-//     guarantees as the uncached engine; only wall-clock time changes.
+//   - Engine: the cached front of engine.RunBatchContext and
+//     engine.Run, with the same ordering, per-job-error and
+//     determinism guarantees; only wall-clock time changes.
 //
 // Stored results are canonical (request identity stripped) and
 // immutable: lookups return deep copies, so callers can mutate what
@@ -173,20 +173,17 @@ func NewTiered(maxEntries int, disk *store.Store, bc BreakerConfig) *Cache {
 	return c
 }
 
-// Do returns the cached result for key, computing it with compute on a
-// miss. Concurrent calls with the same key compute once: the first
-// caller runs compute, the rest wait and share its result. The returned
-// bool reports whether the call was served without running compute
-// itself (a stored hit or a single-flight dedup). The result is a deep
-// copy — mutating it cannot corrupt the cache. compute must be
-// deterministic for the key and must not panic (engine.RunBatch already
+// DoContext returns the cached result for key, computing it with
+// compute on a miss. Concurrent calls with the same key compute once:
+// the first caller runs compute, the rest wait and share its result.
+// The returned bool reports whether the call was served without running
+// compute itself (a stored hit or a single-flight dedup). The result is
+// a deep copy — mutating it cannot corrupt the cache. compute must be
+// deterministic for the key and must not panic (engine.Run already
 // converts job panics into per-job errors).
-func (c *Cache) Do(key string, compute func() engine.Result) (engine.Result, bool) {
-	return c.DoContext(context.Background(), key, compute)
-}
-
-// DoContext is Do with request-scoped cancellation, designed so one
-// caller's cancellation can never poison the shared computation:
+//
+// Cancellation is designed so one caller's ctx can never poison the
+// shared computation:
 //
 //   - A waiter whose ctx dies detaches immediately with an
 //     engine.ErrCanceled result; the leader's flight and the entry it
@@ -252,7 +249,7 @@ func (c *Cache) DoContext(ctx context.Context, key string, compute func() engine
 		res := compute()
 		// Strip the per-request identity so the stored canon serves any
 		// later request regardless of its position or name; front ends
-		// re-attach both (see Engine.Run).
+		// re-attach both (see Engine.RunContext).
 		res.Index, res.Name = 0, ""
 
 		c.mu.Lock()

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -118,11 +119,11 @@ func TestDoHitMissAndClone(t *testing.T) {
 	c := New(0)
 	e := Engine{Cache: c, Workers: 1}
 
-	first, hit := e.Run(g3Job(230))
+	first, hit := e.RunContext(context.Background(), g3Job(230))
 	if hit || first.Err != nil {
 		t.Fatalf("first run: hit=%v err=%v", hit, first.Err)
 	}
-	second, hit := e.Run(g3Job(230))
+	second, hit := e.RunContext(context.Background(), g3Job(230))
 	if !hit {
 		t.Fatal("second identical run must be a cache hit")
 	}
@@ -137,7 +138,7 @@ func TestDoHitMissAndClone(t *testing.T) {
 	// Vandalize the returned copy; the canon must be unaffected.
 	second.Schedule.Order[0] = -99
 	second.Schedule.Assignment[1] = -99
-	third, _ := e.Run(g3Job(230))
+	third, _ := e.RunContext(context.Background(), g3Job(230))
 	if third.Schedule.Order[0] == -99 || third.Schedule.Assignment[1] == -99 {
 		t.Fatal("mutating a returned result corrupted the cache")
 	}
@@ -151,7 +152,7 @@ func TestLRUEviction(t *testing.T) {
 		if !ok {
 			t.Fatal("expected cacheable")
 		}
-		c.Do(key, func() engine.Result { return engine.Result{Cost: d} })
+		c.DoContext(context.Background(), key, func() engine.Result { return engine.Result{Cost: d} })
 		if want := min(i+1, 2); c.Len() != want {
 			t.Fatalf("after insert %d: len = %d, want %d", i, c.Len(), want)
 		}
@@ -179,7 +180,7 @@ func TestSingleFlight(t *testing.T) {
 
 	leaderDone := make(chan engine.Result, 1)
 	go func() {
-		res, _ := c.Do(key, func() engine.Result {
+		res, _ := c.DoContext(context.Background(), key, func() engine.Result {
 			computes.Add(1)
 			<-gate // hold the flight open until the waiters have joined
 			return engine.Result{Cost: 42}
@@ -210,7 +211,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], hits[i] = c.Do(key, func() engine.Result {
+			results[i], hits[i] = c.DoContext(context.Background(), key, func() engine.Result {
 				computes.Add(1)
 				return engine.Result{Cost: -1}
 			})
@@ -258,7 +259,7 @@ func TestEngineMatchesUncached(t *testing.T) {
 			ce.Gate = make(chan struct{}, 2)
 		}
 		for pass := 0; pass < 2; pass++ {
-			got, hits := ce.RunBatch(jobs)
+			got, hits := ce.RunBatchContext(context.Background(), jobs)
 			for i := range want {
 				if !resultsEquivalent(want[i], got[i]) {
 					t.Fatalf("workers=%d pass=%d job %d: cached result differs:\nwant %+v\ngot  %+v",
@@ -303,7 +304,7 @@ func resultsEquivalent(a, b engine.Result) bool {
 // engine.
 func TestEngineNilCachePassThrough(t *testing.T) {
 	ce := Engine{Workers: 2}
-	res, hit := ce.Run(g3Job(230))
+	res, hit := ce.RunContext(context.Background(), g3Job(230))
 	if hit || res.Err != nil || res.Schedule == nil {
 		t.Fatalf("pass-through run failed: hit=%v res=%+v", hit, res)
 	}

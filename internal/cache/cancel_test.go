@@ -22,7 +22,7 @@ func TestDoContextWaiterDetaches(t *testing.T) {
 
 	leaderDone := make(chan engine.Result, 1)
 	go func() {
-		res, _ := c.Do(key, func() engine.Result {
+		res, _ := c.DoContext(context.Background(), key, func() engine.Result {
 			<-gate
 			return engine.Result{Cost: 42}
 		})
@@ -62,7 +62,7 @@ func TestDoContextWaiterDetaches(t *testing.T) {
 	if !ok || stored.Cost != 42 {
 		t.Fatalf("stored entry corrupted: ok=%v %+v", ok, stored)
 	}
-	if hit, ok := c.Do(key, func() engine.Result { return engine.Result{Cost: -1} }); !ok || hit.Cost != 42 {
+	if hit, ok := c.DoContext(context.Background(), key, func() engine.Result { return engine.Result{Cost: -1} }); !ok || hit.Cost != 42 {
 		t.Fatalf("later caller must hit the stored 42: ok=%v %+v", ok, hit)
 	}
 }

@@ -2,16 +2,16 @@ package cache
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/engine"
 )
 
-// Engine is the cached counterpart of engine.Engine: same worker-pool
-// batch execution, same ordering and per-job-error guarantees, but
-// every cacheable job is answered through the Cache — a repeat is a
-// lookup, and identical jobs in flight at the same time (within one
-// batch or across concurrent batches) compute once.
+// Engine is the cached front of the engine package: the same
+// worker-pool batch execution (engine.RunEach), ordering and
+// per-job-error guarantees as engine.RunBatchContext, but every
+// cacheable job is answered through the Cache — a repeat is a lookup,
+// and identical jobs in flight at the same time (within one batch or
+// across concurrent batches) compute once.
 //
 // A nil Cache degrades to pass-through execution, so callers can make
 // caching a flag without branching.
@@ -21,9 +21,9 @@ type Engine struct {
 	// Workers bounds concurrent jobs; 0 means GOMAXPROCS(0).
 	Workers int
 	// Gate, when non-nil, globally bounds concurrent scheduling work
-	// across every Run/RunBatch call sharing it — cache hits bypass it.
-	// A server handling many requests, each with its own worker pool,
-	// uses one shared Gate so total scheduling concurrency stays near
+	// across every RunContext/RunBatchContext call sharing it — cache
+	// hits bypass it. A server handling many requests, each with its
+	// own worker pool, uses one shared Gate so total scheduling concurrency stays near
 	// the gate's capacity instead of requests × Workers. A gated
 	// computation also sizes its multistart restart fan-out by the idle
 	// gate capacity it can claim (overriding Job.MultiStart.Workers,
@@ -32,61 +32,41 @@ type Engine struct {
 	Gate chan struct{}
 }
 
-// workers resolves the pool bound.
-func (e *Engine) workers() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Run executes one job through the cache and reports whether it was
-// served without computing (stored hit or single-flight dedup). The
-// result carries the job's Name and Index 0.
-func (e *Engine) Run(job engine.Job) (engine.Result, bool) {
-	return e.RunContext(context.Background(), job)
-}
-
-// RunContext is Run with request-scoped cancellation: a done ctx stops
-// the computation at its next cooperative check (or skips it entirely,
+// RunContext executes one job through the cache and reports whether it
+// was served without computing (stored hit or single-flight dedup). The
+// result carries the job's Name and Index 0. A done ctx stops the
+// computation at its next cooperative check (or skips it entirely,
 // including the wait for a Gate slot) and yields an engine.ErrCanceled
 // result. Cache hits still answer instantly — serving stored bytes
 // costs nothing worth canceling.
 func (e *Engine) RunContext(ctx context.Context, job engine.Job) (engine.Result, bool) {
 	// A lone job may fan its multistart restarts over the whole pool,
-	// mirroring engine.RunBatch's bound-splitting for a one-job batch.
-	res, hit := e.run(ctx, job, e.workers())
+	// as engine.RunEach grants a one-job batch.
+	res, hit := e.run(ctx, job, engine.Bound(e.Workers))
 	res.Index, res.Name = 0, job.Name
 	return res, hit
 }
 
-// RunBatch executes every job over the engine's pool and returns one
-// result per job in input order, plus a parallel slice reporting which
-// were served from cache. Output results are identical to
-// engine.RunBatch's for any Workers value and any cache state — the
-// pool and its bound-splitting live in engine.RunEach, shared by both.
-func (e *Engine) RunBatch(jobs []engine.Job) ([]engine.Result, []bool) {
-	return e.RunBatchContext(context.Background(), jobs)
-}
-
-// RunBatchContext is RunBatch with request-scoped cancellation,
-// inheriting engine.RunBatchContext's contract: jobs the dispatcher
-// never reached are marked engine.ErrCanceled without running,
-// in-flight computations abort at their next cooperative check, and
-// results that completed before the cancellation are bit-identical to
-// an uncancelled run's.
+// RunBatchContext executes every job over the engine's pool and returns
+// one result per job in input order, plus a parallel slice reporting
+// which were served from cache. Results are identical to
+// engine.RunBatchContext's for any Workers value and any cache state,
+// and so is the cancellation contract: jobs the dispatcher never
+// reached are marked engine.ErrCanceled without running, in-flight
+// computations abort at their next cooperative check, and results that
+// completed before the cancellation are bit-identical to an
+// uncancelled run's.
 func (e *Engine) RunBatchContext(ctx context.Context, jobs []engine.Job) ([]engine.Result, []bool) {
 	results := make([]engine.Result, len(jobs))
 	hits := make([]bool, len(jobs))
-	for i := range results {
-		results[i] = engine.Result{Index: i, Name: jobs[i].Name, Err: engine.ErrCanceled}
-	}
-	pool := engine.Engine{Workers: e.Workers}
-	pool.RunEachContext(ctx, len(jobs), func(i, restartWorkers int) {
+	dispatched := engine.RunEach(ctx, len(jobs), e.Workers, func(i, restartWorkers int) {
 		res, hit := e.run(ctx, jobs[i], restartWorkers)
 		res.Index, res.Name = i, jobs[i].Name
 		results[i], hits[i] = res, hit
 	})
+	for i := dispatched; i < len(jobs); i++ {
+		results[i] = engine.Result{Index: i, Name: jobs[i].Name, Err: engine.CanceledError(ctx.Err())}
+	}
 	return results, hits
 }
 
@@ -121,9 +101,7 @@ func (e *Engine) run(ctx context.Context, job engine.Job, restartWorkers int) (e
 	})
 }
 
-// compute runs the job on the uncached engine as a one-job batch,
-// pinning the multistart fan-out first so a single-job engine batch
-// cannot collapse it to 1.
+// compute runs the job on the uncached engine (engine.Run).
 //
 // Under a Gate, the computation blocks for one slot and then widens its
 // restart fan-out only with whatever idle capacity it can claim without
@@ -166,8 +144,6 @@ func (e *Engine) compute(ctx context.Context, job engine.Job, restartWorkers int
 				<-e.Gate
 			}
 		}()
-	} else if job.MultiStart.Workers == 0 {
-		job.MultiStart.Workers = restartWorkers
 	}
-	return engine.RunBatchContext(ctx, []engine.Job{job}, 1)[0]
+	return engine.Run(ctx, job, restartWorkers)
 }

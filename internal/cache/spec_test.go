@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -88,8 +89,8 @@ func TestEngineSpecColdWarmByteIdentical(t *testing.T) {
 	}
 
 	ce := Engine{Cache: New(0), Workers: 2}
-	cold, coldHits := ce.RunBatch(jobs)
-	warm, warmHits := ce.RunBatch(jobs)
+	cold, coldHits := ce.RunBatchContext(context.Background(), jobs)
+	warm, warmHits := ce.RunBatchContext(context.Background(), jobs)
 
 	encode := func(results []engine.Result) []byte {
 		var buf bytes.Buffer

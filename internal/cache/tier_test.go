@@ -48,7 +48,7 @@ func TestTierWriteThroughAndDiskHit(t *testing.T) {
 	want := tierResult(42)
 
 	c1 := NewWithStore(0, openTier(t, dir))
-	got, hit := c1.Do(tierKey(0), func() engine.Result { return want })
+	got, hit := c1.DoContext(context.Background(), tierKey(0), func() engine.Result { return want })
 	if hit || got.Cost != want.Cost {
 		t.Fatalf("first Do: hit=%v res=%+v", hit, got)
 	}
@@ -58,7 +58,7 @@ func TestTierWriteThroughAndDiskHit(t *testing.T) {
 
 	c2 := NewWithStore(0, openTier(t, dir))
 	computed := false
-	got, hit = c2.Do(tierKey(0), func() engine.Result { computed = true; return tierResult(-1) })
+	got, hit = c2.DoContext(context.Background(), tierKey(0), func() engine.Result { computed = true; return tierResult(-1) })
 	if computed {
 		t.Fatal("disk-resident key recomputed")
 	}
@@ -73,7 +73,7 @@ func TestTierWriteThroughAndDiskHit(t *testing.T) {
 		t.Fatal("disk hit not promoted into memory")
 	}
 	// Promotion means the next lookup never touches disk again.
-	if _, hit = c2.Do(tierKey(0), func() engine.Result { return tierResult(-1) }); !hit {
+	if _, hit = c2.DoContext(context.Background(), tierKey(0), func() engine.Result { return tierResult(-1) }); !hit {
 		t.Fatal("promoted entry missed")
 	}
 	if st = c2.Stats(); st.Hits != 1 || st.DiskHits != 1 {
@@ -86,12 +86,12 @@ func TestTierWriteThroughAndDiskHit(t *testing.T) {
 func TestTierDiskHitIsDeepCopy(t *testing.T) {
 	dir := t.TempDir()
 	c1 := NewWithStore(0, openTier(t, dir))
-	c1.Do(tierKey(0), func() engine.Result { return tierResult(7) })
+	c1.DoContext(context.Background(), tierKey(0), func() engine.Result { return tierResult(7) })
 
 	c2 := NewWithStore(0, openTier(t, dir))
-	got, _ := c2.Do(tierKey(0), func() engine.Result { return tierResult(-1) })
+	got, _ := c2.DoContext(context.Background(), tierKey(0), func() engine.Result { return tierResult(-1) })
 	got.Schedule.Order[0] = -99
-	again, hit := c2.Do(tierKey(0), func() engine.Result { return tierResult(-1) })
+	again, hit := c2.DoContext(context.Background(), tierKey(0), func() engine.Result { return tierResult(-1) })
 	if !hit || again.Schedule.Order[0] == -99 {
 		t.Fatalf("mutating a disk-served result corrupted the canon: %+v", again.Schedule)
 	}
@@ -102,7 +102,7 @@ func TestTierDiskHitIsDeepCopy(t *testing.T) {
 func TestTierCanceledNotPersisted(t *testing.T) {
 	st := openTier(t, t.TempDir())
 	c := NewWithStore(0, st)
-	res, hit := c.Do(tierKey(0), func() engine.Result {
+	res, hit := c.DoContext(context.Background(), tierKey(0), func() engine.Result {
 		return engine.Result{Err: engine.CanceledError(context.Canceled)}
 	})
 	if hit || !errors.Is(res.Err, engine.ErrCanceled) {
@@ -121,12 +121,12 @@ func TestTierCanceledNotPersisted(t *testing.T) {
 func TestTierErrorResultsPersist(t *testing.T) {
 	dir := t.TempDir()
 	c1 := NewWithStore(0, openTier(t, dir))
-	c1.Do(tierKey(0), func() engine.Result {
+	c1.DoContext(context.Background(), tierKey(0), func() engine.Result {
 		return engine.Result{Strategy: "iterative", Err: errors.New("core: infeasible deadline")}
 	})
 
 	c2 := NewWithStore(0, openTier(t, dir))
-	got, hit := c2.Do(tierKey(0), func() engine.Result { return tierResult(-1) })
+	got, hit := c2.DoContext(context.Background(), tierKey(0), func() engine.Result { return tierResult(-1) })
 	if !hit || got.Err == nil || got.Err.Error() != "core: infeasible deadline" {
 		t.Fatalf("error result after restart: hit=%v res=%+v", hit, got)
 	}
@@ -136,7 +136,7 @@ func TestTierErrorResultsPersist(t *testing.T) {
 // like New(n) and reports zero disk counters.
 func TestTierNilStoreIsMemoryOnly(t *testing.T) {
 	c := NewWithStore(0, nil)
-	c.Do(tierKey(0), func() engine.Result { return tierResult(1) })
+	c.DoContext(context.Background(), tierKey(0), func() engine.Result { return tierResult(1) })
 	st := c.Stats()
 	if st.Misses != 1 || st.DiskHits != 0 || st.DiskMisses != 0 || st.DiskEntries != 0 {
 		t.Fatalf("nil-store stats: %+v", st)

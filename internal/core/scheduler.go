@@ -153,10 +153,9 @@ func validDeadline(deadline float64) error {
 // model resolution (a calibrated spec runs a whole beta-fit here),
 // matrix flattening, the Energy Vector sort, reachability bitsets,
 // candidate dominance pruning, the lower-bound slack analysis and the
-// initial sequence. Deadline sweeps (Runner, the engine's batch
-// grouping) build one base and mint per-deadline Schedulers from it —
-// each mint is a shallow copy, so the per-deadline cost collapses to
-// O(1).
+// initial sequence. A deadline sweep (Runner) builds one base and
+// mints per-deadline Schedulers from it — each mint is a shallow copy,
+// so the per-deadline cost collapses to O(1).
 func NewBase(g *taskgraph.Graph, opt Options) (*SchedulerBase, error) {
 	return NewBaseWithModel(g, nil, opt)
 }

@@ -65,7 +65,8 @@ func costWith(t *testing.T, g *taskgraph.Graph, m battery.Model) *taskgraph.Grap
 // and jobs 2+ wait their turn. Canceling then releasing the block must
 // (a) return promptly, (b) keep job 0's result bit-identical to an
 // uncancelled run's, (c) mark the mid-flight job 1 ErrCanceled, and
-// (d) mark every unstarted job ErrCanceled without running it.
+// (d) mark every unstarted job ErrCanceled without running it — both
+// still matching context.Canceled, the cause.
 func TestRunBatchContextCancelMidBatch(t *testing.T) {
 	model := newBlockingModel()
 	jobs := []Job{
@@ -77,9 +78,8 @@ func TestRunBatchContextCancelMidBatch(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	e := Engine{Workers: 1}
 	resc := make(chan []Result, 1)
-	go func() { resc <- e.RunBatchContext(ctx, jobs) }()
+	go func() { resc <- RunBatchContext(ctx, jobs, 1) }()
 
 	// Job 1 signals it is inside ChargeLost — job 0 is already done
 	// (one worker, in dispatch order) and jobs 2+ have not started.
@@ -110,8 +110,8 @@ func TestRunBatchContextCancelMidBatch(t *testing.T) {
 	// (c) and (d): everything else is ErrCanceled, with index and name
 	// preserved so wire.Results can still line the batch up.
 	for i := 1; i < len(results); i++ {
-		if !errors.Is(results[i].Err, ErrCanceled) {
-			t.Fatalf("job %d err = %v, want ErrCanceled", i, results[i].Err)
+		if !errors.Is(results[i].Err, ErrCanceled) || !errors.Is(results[i].Err, context.Canceled) {
+			t.Fatalf("job %d err = %v, want ErrCanceled wrapping context.Canceled", i, results[i].Err)
 		}
 		if results[i].Schedule != nil {
 			t.Fatalf("job %d carries a schedule despite cancellation", i)
@@ -158,9 +158,8 @@ func TestJobTimeout(t *testing.T) {
 		{Name: "slow", Graph: costWith(t, taskgraph.G3(), model), Deadline: 230, Timeout: 20 * time.Millisecond},
 		{Name: "fine", Graph: taskgraph.G2(), Deadline: 75},
 	}
-	e := Engine{Workers: 1}
 	resc := make(chan []Result, 1)
-	go func() { resc <- e.RunBatchContext(context.Background(), jobs) }()
+	go func() { resc <- RunBatchContext(context.Background(), jobs, 1) }()
 
 	select {
 	case <-model.started:
@@ -178,8 +177,8 @@ func TestJobTimeout(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("batch did not finish")
 	}
-	if !errors.Is(results[0].Err, ErrCanceled) {
-		t.Fatalf("timed-out job err = %v, want ErrCanceled", results[0].Err)
+	if !errors.Is(results[0].Err, ErrCanceled) || !errors.Is(results[0].Err, context.DeadlineExceeded) {
+		t.Fatalf("timed-out job err = %v, want ErrCanceled wrapping context.DeadlineExceeded", results[0].Err)
 	}
 	if !strings.Contains(results[0].Err.Error(), "deadline") {
 		t.Fatalf("timeout error should carry the deadline cause, got %q", results[0].Err)

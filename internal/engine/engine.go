@@ -4,16 +4,17 @@
 // production host receives a stream of independent (graph, deadline,
 // strategy) jobs and wants them finished as fast as the cores allow.
 //
-// Jobs are independent, so the engine fans them out across Workers
-// goroutines; results come back in input order with per-job errors —
-// one malformed or infeasible job never fails the batch. Inside a
-// multi-start job the restarts themselves run concurrently (see
-// core.MultiStartOptions.Workers); when a job leaves that fan-out
-// unset the engine splits its worker bound between the two levels, so
-// total concurrency stays near the bound for any batch shape. Workers
-// share nothing mutable: every run in core carries its own scratch
-// arena (see internal/core's runScratch), so per-job results are
-// bit-identical for every pool size.
+// Jobs are independent, so RunBatch fans them out over a bounded pool
+// of goroutines (RunEach) and runs each through Run; results come back
+// in input order with per-job errors — one malformed or infeasible job
+// never fails the batch. Inside a multi-start job the restarts
+// themselves run concurrently (see core.MultiStartOptions.Workers);
+// when a job leaves that fan-out unset the engine splits its worker
+// bound between the two levels, so total concurrency stays near the
+// bound for any batch shape. Workers share nothing mutable: every run
+// in core carries its own scratch arena (see internal/core's
+// runScratch), so per-job results are bit-identical for every pool
+// size.
 //
 //battlint:deterministic
 package engine
@@ -47,10 +48,10 @@ type Job struct {
 	// to cost baseline schedules.
 	Options core.Options
 	// MultiStart configures StrategyMultiStart. A zero Workers shares
-	// the engine's bound with the job level (a lone job fans its
+	// the pool's bound with the job level (a lone job fans its
 	// restarts over the whole pool; a full batch keeps them
 	// sequential), so total concurrency never exceeds roughly the
-	// engine bound.
+	// pool bound.
 	MultiStart core.MultiStartOptions
 	// Timeout bounds this job's computation once it starts (0 = none).
 	// A job that exceeds it fails with ErrCanceled; jobs that finish in
@@ -84,32 +85,27 @@ type Result struct {
 	Err error
 }
 
-// Engine runs batches over a bounded worker pool. The zero value is
-// ready to use and bounds the pool at GOMAXPROCS.
-type Engine struct {
-	// Workers bounds concurrent jobs; 0 means GOMAXPROCS(0).
-	Workers int
-}
-
 // ErrNilGraph is returned for jobs without a graph.
 var ErrNilGraph = errors.New("engine: job has a nil graph")
 
 // ErrCanceled marks a job that did not complete because its context was
 // canceled or its Timeout fired — whether it never started or was
 // aborted mid-search. Match it with errors.Is; the error text carries
-// the underlying context error when the job was aborted mid-run, so a
-// disconnect ("context canceled") and a timeout ("context deadline
-// exceeded") stay distinguishable.
+// the underlying context error, so a disconnect ("context canceled")
+// and a timeout ("context deadline exceeded") stay distinguishable.
 var ErrCanceled = errors.New("engine: job canceled")
 
 // CanceledError wraps a context's cause under ErrCanceled — the one
 // shape every layer reports cancellation in, so front ends can rely on
-// errors.Is(err, ErrCanceled) and a stable message format.
+// errors.Is(err, ErrCanceled) and a stable message format. The cause
+// stays matchable too: errors.Is(err, context.Canceled) or
+// errors.Is(err, context.DeadlineExceeded) holds as it does on a bare
+// core run.
 func CanceledError(cause error) error {
 	if cause == nil {
 		return ErrCanceled
 	}
-	return fmt.Errorf("%w: %v", ErrCanceled, cause)
+	return fmt.Errorf("%w: %w", ErrCanceled, cause)
 }
 
 // isContextErr reports whether err came from a canceled or expired
@@ -118,33 +114,21 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// workers resolves the pool bound.
-func (e *Engine) workers() int {
-	if e.Workers > 0 {
-		return e.Workers
+// Bound resolves a worker bound: workers when positive, else
+// GOMAXPROCS(0).
+func Bound(workers int) int {
+	if workers > 0 {
+		return workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// RunBatch executes every job and returns one Result per job, in input
-// order. Job failures (bad strategy, infeasible deadline, nil graph, a
-// panicking model) land in Result.Err; RunBatch itself never fails.
+// RunBatch executes every job over a pool of workers goroutines (0
+// means GOMAXPROCS) and returns one Result per job, in input order. Job
+// failures (bad strategy, infeasible deadline, nil graph, a panicking
+// model) land in Result.Err; RunBatch itself never fails.
 func RunBatch(jobs []Job, workers int) []Result {
-	e := Engine{Workers: workers}
-	return e.RunBatch(jobs)
-}
-
-// RunBatchContext is RunBatch with request-scoped cancellation; see
-// Engine.RunBatchContext.
-func RunBatchContext(ctx context.Context, jobs []Job, workers int) []Result {
-	e := Engine{Workers: workers}
-	return e.RunBatchContext(ctx, jobs)
-}
-
-// RunBatch executes every job over the engine's pool and returns one
-// Result per job, in input order.
-func (e *Engine) RunBatch(jobs []Job) []Result {
-	return e.RunBatchContext(context.Background(), jobs)
+	return RunBatchContext(context.Background(), jobs, workers)
 }
 
 // RunBatchContext executes the batch until done or ctx is canceled.
@@ -154,58 +138,41 @@ func (e *Engine) RunBatch(jobs []Job) []Result {
 // ErrCanceled. Jobs that completed before the cancellation keep their
 // results, bit-identical to an uncancelled run's — cancellation never
 // changes what finished, only how much finishes.
-func (e *Engine) RunBatchContext(ctx context.Context, jobs []Job) []Result {
+func RunBatchContext(ctx context.Context, jobs []Job, workers int) []Result {
 	results := make([]Result, len(jobs))
-	for i := range results {
-		// Pre-mark every slot canceled; dispatched jobs overwrite
-		// theirs (possibly with the same error, via their own ctx
-		// check), so whatever the dispatcher never reached reports
-		// ErrCanceled instead of a zero value.
-		results[i] = Result{Index: i, Name: jobs[i].Name, Err: ErrCanceled}
-	}
-	bases := newBaseCache()
-	e.RunEachContext(ctx, len(jobs), func(i, restartWorkers int) {
-		results[i] = e.runJob(ctx, i, jobs[i], restartWorkers, bases)
+	dispatched := RunEach(ctx, len(jobs), workers, func(i, restartWorkers int) {
+		results[i] = Run(ctx, jobs[i], restartWorkers)
+		results[i].Index = i
 	})
+	for i := dispatched; i < len(jobs); i++ {
+		results[i] = Result{Index: i, Name: jobs[i].Name, Err: CanceledError(ctx.Err())}
+	}
 	return results
 }
 
-// RunEach runs fn(i, restartWorkers) for every i in [0, n) over the
-// engine's bounded pool. It owns the pool arithmetic every batch runner
-// must agree on — exported so the cached engine (internal/cache) shares
-// it instead of copying it:
+// RunEach runs fn(i, restartWorkers) for every i in [0, n) over a pool
+// bounded by Bound(workers). It owns the pool arithmetic every batch
+// runner must agree on — exported so the cached engine (internal/cache)
+// shares it instead of copying it:
 //
 // Multistart jobs that did not pin their own restart fan-out share the
-// engine bound with the job level — restartWorkers is bound/workers, so
-// a lone job gets the whole pool for its restarts while a full batch
-// keeps restarts sequential, and total concurrency stays ~bound instead
-// of bound².
-func (e *Engine) RunEach(n int, fn func(i, restartWorkers int)) {
-	e.RunEachContext(context.Background(), n, fn)
-}
-
-// RunEachContext is RunEach with request-scoped cancellation: once ctx
-// is done the dispatcher stops handing out indices, so fn never starts
-// for the remaining i (the caller decides what an undispatched slot
-// means — the batch runners mark it ErrCanceled). Indices already
-// dispatched run fn to completion; fn observes the same ctx and is
-// expected to cut its own work short.
-func (e *Engine) RunEachContext(ctx context.Context, n int, fn func(i, restartWorkers int)) {
-	bound := e.workers()
-	workers := bound
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	restartWorkers := bound / workers
-	if restartWorkers < 1 {
-		restartWorkers = 1
-	}
+// bound with the job level — restartWorkers is bound/workers, so a lone
+// job gets the whole pool for its restarts while a full batch keeps
+// restarts sequential, and total concurrency stays ~bound instead of
+// bound².
+//
+// Once ctx is done the dispatcher stops handing out indices. RunEach
+// returns how many it dispatched: every i below that ran fn to
+// completion (fn observes the same ctx and is expected to cut its own
+// work short), and fn never started for the rest — the caller decides
+// what an undispatched slot means.
+func RunEach(ctx context.Context, n, workers int, fn func(i, restartWorkers int)) int {
+	bound := Bound(workers)
+	pool := max(min(bound, n), 1)
+	restartWorkers := max(bound/pool, 1)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < pool; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -215,27 +182,31 @@ func (e *Engine) RunEachContext(ctx context.Context, n int, fn func(i, restartWo
 		}()
 	}
 	done := ctx.Done()
+	dispatched := 0
 dispatch:
-	for i := 0; i < n; i++ {
+	for ; dispatched < n; dispatched++ {
 		select {
-		case idx <- i:
+		case idx <- dispatched:
 		case <-done:
 			break dispatch
 		}
 	}
 	close(idx)
 	wg.Wait()
+	return dispatched
 }
 
-// runJob executes one job, converting panics into per-job errors so a
-// misbehaving custom battery model cannot take the batch down, and
-// context errors into ErrCanceled so front ends report cancellation
+// Run executes one job and returns its Result (Index 0, Name echoed).
+// restartWorkers is the restart fan-out for a multistart job that did
+// not pin MultiStart.Workers. Panics become per-job errors, so a
+// misbehaving custom battery model cannot take a batch down, and
+// context errors become ErrCanceled, so front ends report cancellation
 // distinctly from scheduling failures.
-func (e *Engine) runJob(ctx context.Context, i int, job Job, restartWorkers int, bases *baseCache) (res Result) {
-	res = Result{Index: i, Name: job.Name}
+func Run(ctx context.Context, job Job, restartWorkers int) (res Result) {
+	res = Result{Name: job.Name}
 	defer func() {
 		if r := recover(); r != nil {
-			res.Err = fmt.Errorf("engine: job %d panicked: %v", i, r)
+			res.Err = fmt.Errorf("engine: job panicked: %v", r)
 			res.Schedule = nil
 		}
 	}()
@@ -259,7 +230,7 @@ func (e *Engine) runJob(ctx context.Context, i int, job Job, restartWorkers int,
 		res.Err = ErrNilGraph
 		return res
 	}
-	res.Err = e.execute(ctx, strategy, job, &res, restartWorkers, bases)
+	res.Err = execute(ctx, strategy, job, &res, restartWorkers)
 	if res.Err != nil {
 		if isContextErr(res.Err) {
 			res.Err = CanceledError(res.Err)

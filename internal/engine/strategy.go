@@ -72,20 +72,21 @@ func CanonicalStrategy(name string) (string, error) {
 	return "", fmt.Errorf("engine: unknown strategy %q (accepted: %s)", name, strings.Join(Strategies(), " | "))
 }
 
+// newBase builds a job's deadline-independent scheduler state. Tests
+// swap it, keyed on graph identity, to cost one graph's jobs with a
+// hand-written battery model through core.NewBaseWithModel.
+var newBase = core.NewBase
+
 // execute runs the canonical strategy for a job, filling res.
 // restartWorkers is the default fan-out for multistart jobs that did
 // not pin MultiStart.Workers themselves. ctx cancels the iterative
 // strategies mid-search; the closed-form baselines run to completion
 // (they are polynomial passes, orders of magnitude below one iterative
 // window sweep) after an up-front ctx check.
-func (e *Engine) execute(ctx context.Context, strategy string, job Job, res *Result, restartWorkers int, bases *baseCache) error {
+func execute(ctx context.Context, strategy string, job Job, res *Result, restartWorkers int) error {
 	switch strategy {
 	case StrategyIterative, StrategyMultiStart, StrategyWithIdle:
-		// Batches routinely sweep one graph across many deadlines; the
-		// deadline-independent construction is shared through the batch's
-		// base cache, and the per-deadline mint below is O(1). The minted
-		// scheduler is bit-identical to core.New's.
-		base, err := bases.get(job.Graph, job.Options)
+		base, err := newBase(job.Graph, job.Options)
 		if err != nil {
 			return err
 		}

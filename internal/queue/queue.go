@@ -143,6 +143,8 @@ type Snapshot struct {
 	Priority int
 	// Result is the outcome; meaningful only in StateDone.
 	Result engine.Result
+
+	t *task // the job snapshotted, for Await
 }
 
 // Errors Submit can return.
@@ -392,14 +394,29 @@ func (q *Queue) Wait(ctx context.Context, id string) (Snapshot, bool, error) {
 	if !ok {
 		return Snapshot{}, false, nil
 	}
+	snap, err := q.await(ctx, t)
+	return snap, true, err
+}
+
+// Await is Wait for the job a snapshot (from Submit, Get or Wait) was
+// taken of. It holds the job itself rather than looking its ID up, so
+// it still returns the terminal snapshot when the job finished and aged
+// out of retention before Await was called — a submitter waits on the
+// job it was admitted as, never on a later job under the same ID.
+func (q *Queue) Await(ctx context.Context, snap Snapshot) (Snapshot, error) {
+	return q.await(ctx, snap.t)
+}
+
+// await blocks until t is terminal or ctx ends.
+func (q *Queue) await(ctx context.Context, t *task) (Snapshot, error) {
 	select {
 	case <-t.done:
 	case <-ctx.Done():
-		return Snapshot{}, true, ctx.Err()
+		return Snapshot{}, ctx.Err()
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return t.snapshot(), true, nil
+	return t.snapshot(), nil
 }
 
 // Abort moves the job to StateAborted: a queued job never runs, a
@@ -616,7 +633,7 @@ func (q *Queue) Stats() Stats {
 // handed out many times, and a caller mutating its copy must never
 // reach back into the queue's canon or into another poller's snapshot.
 func (t *task) snapshot() Snapshot {
-	return Snapshot{ID: t.id, State: t.state, Priority: t.priority, Result: cache.CloneResult(t.res)}
+	return Snapshot{ID: t.id, State: t.state, Priority: t.priority, Result: cache.CloneResult(t.res), t: t}
 }
 
 // taskHeap orders ready tasks by priority (higher first), FIFO within a

@@ -400,6 +400,39 @@ func TestWaitUnknownAndCanceled(t *testing.T) {
 	}
 }
 
+// TestAwaitOutlivesRetention: Await holds the admitted job itself, so
+// a job that finished and aged out before anyone waited still answers
+// with its terminal snapshot, where a lookup by ID finds nothing; and
+// Await on a live job still gives up with its caller's ctx.
+func TestAwaitOutlivesRetention(t *testing.T) {
+	q := New(Config{Workers: 1, Retention: -time.Nanosecond})
+	defer q.Close()
+	first, err := q.Submit(Submission{ID: "first", Run: instantRun(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, q, "first", StateDone)
+	// Negative retention: the next admission prunes the finished job.
+	never := make(chan struct{})
+	defer close(never)
+	slow, err := q.Submit(Submission{ID: "slow", Run: blockingRun(never, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := q.Wait(context.Background(), "first"); ok {
+		t.Fatal("first job still tracked; the prune did not happen")
+	}
+	snap, err := q.Await(context.Background(), first)
+	if err != nil || snap.State != StateDone || snap.Result.Cost != 7 {
+		t.Fatalf("Await(first) = %+v, %v; want the done cost-7 result", snap, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := q.Await(ctx, slow); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Await(slow) err = %v, want DeadlineExceeded", err)
+	}
+}
+
 // TestStressConcurrentLifecycle hammers every transition concurrently —
 // submit (with duplicate ids forcing coalesce paths), abort, tiny TTLs
 // expiring queued and running jobs, polls, waits, and a mid-storm Close —

@@ -218,11 +218,9 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 // error line (decode failure or admission rejection) or a submitted job
 // to wait on.
 type batchSlot struct {
-	name     string
-	id       string // submitted job id; "" when err is set
-	err      error  // decode or admission failure
-	terminal bool   // submission answered terminal immediately
-	snap     queue.Snapshot
+	name string
+	err  error          // decode or admission failure
+	snap queue.Snapshot // admission snapshot when err is nil
 }
 
 // decodeJobsBatch reads and admits an NDJSON jobs body, returning one
@@ -263,9 +261,7 @@ func (s *Server) decodeJobsBatch(w http.ResponseWriter, r *http.Request) ([]batc
 				status == http.StatusServiceUnavailable
 			continue
 		}
-		slots[i].id = snap.ID
 		slots[i].snap = snap
-		slots[i].terminal = snap.State.Terminal()
 	}
 	if rejected {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
@@ -301,8 +297,11 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 // line per input line as jobs finish — out-of-order by default (a line's
 // "index" says which input it answers), in input order with ?ordered=1.
 // Lines that failed to decode or were refused admission are emitted as
-// error lines without waiting. Completed lines are byte-identical to
-// the sync POST /v1/batch lines for the same jobs.
+// error lines without waiting. Every other line waits on the job it was
+// admitted as (queue.Await), so a job that finishes and ages out of
+// retention before the stream reaches it still gets its line.
+// Completed lines are byte-identical to the sync POST /v1/batch lines
+// for the same jobs.
 func (s *Server) handleJobsBatchStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobsAPI.Add(1)
 	slots, ok := s.decodeJobsBatch(w, r)
@@ -320,22 +319,9 @@ func (s *Server) handleJobsBatchStream(w http.ResponseWriter, r *http.Request) {
 				}
 				continue
 			}
-			snap, ok, err := s.jobs.Wait(ctx, slot.id)
+			snap, err := s.jobs.Await(ctx, slot.snap)
 			if err != nil {
 				return // client gave up
-			}
-			if !ok {
-				// Aged out of the queue mid-wait. The admission snapshot
-				// is all we have, and unless it was already terminal at
-				// submit time it says nothing about how the job ended —
-				// the job may well have completed and been pruned.
-				// Mirroring the out-of-order path: never dress a
-				// non-terminal snapshot up as an outcome (terminalResult
-				// would render it as a false "job aborted" line).
-				snap = slot.snap
-			}
-			if !snap.State.Terminal() {
-				return
 			}
 			if !emit(terminalResult(snap, i, slot.name)) {
 				return
@@ -362,10 +348,9 @@ func (s *Server) handleJobsBatchStream(w http.ResponseWriter, r *http.Request) {
 		}
 		waiting++
 		go func(idx int, slot batchSlot) {
-			snap, ok, err := s.jobs.Wait(ctx, slot.id)
-			if err != nil || !ok {
-				snap = slot.snap
-			}
+			// A ctx that dies mid-wait yields a zero, non-terminal
+			// snapshot, which ends the stream below.
+			snap, _ := s.jobs.Await(ctx, slot.snap)
 			done <- finished{idx: idx, snap: snap}
 		}(i, slot)
 	}
