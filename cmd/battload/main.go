@@ -5,7 +5,10 @@
 // end-to-end), throughput, and the contract verification that makes
 // "handles N concurrent clients" a tested claim — zero lost jobs, zero
 // double completions, with admission-control rejections accounted
-// separately from failures.
+// separately from failures. Every request goes through internal/client,
+// the retrying battschedd client: capped backoff with deterministic
+// jitter, Retry-After floors, and a resubmit under the job's content
+// address when the daemon answers 404 for a job it forgot (a restart).
 //
 // Usage:
 //
@@ -13,7 +16,7 @@
 //	         [-n 1000] [-c 64 | -sweep 8,64,512] [-rate 0]
 //	         [-fixture g3] [-deadline-min 100] [-deadline-max 230]
 //	         [-priorities 0:7,5:2,9:1] [-dup-every 0] [-ttl 0] [-timeout 0]
-//	         [-resilient] [-verify-bytes]
+//	         [-verify-bytes]
 //	         [-self-faults schedule] [-self-store dir] [-min-faults 0]
 //	         [-self-breaker-threshold 0] [-self-breaker-window 0] [-self-breaker-probe 0]
 //	         [-slo-e2e-p99 0] [-slo-submit-p99 0] [-slo-poll-p99 0]
@@ -29,16 +32,16 @@
 //	battload -self -n 300 -c 64 -slo-e2e-p99 10s -slo-error-rate 0 -assert
 //
 //	# Chaos run: deterministic disk faults under the store, the breaker
-//	# cycling, the resilient client in front, zero loss asserted:
-//	battload -self -resilient -n 800 -c 32 \
+//	# cycling, zero loss asserted:
+//	battload -self -n 800 -c 32 \
 //	    -self-faults "write:every=1:eio,read:every=2:eio" \
 //	    -self-breaker-threshold 40 -self-breaker-probe 20ms \
 //	    -min-faults 100 -assert
 //
-// -resilient drives the run through internal/client (capped backoff
-// with deterministic jitter, Retry-After floors, resubmit on 404 after
-// a restart) instead of the raw poll loop; the report then carries the
-// client's own attempt/retry ledger. -self-faults installs a
+// The report carries the client's own attempt/retry ledger next to the
+// run's resubmit count. With -self the daemon runs in-process and never
+// restarts, so a 404 can only mean a lost job: -assert then treats any
+// resubmit as a contract violation. -self-faults installs a
 // deterministic fault schedule (see internal/fault) under -self's disk
 // store and the run logs the chaos ledger — faults injected per op,
 // disk errors, breaker state and trips; with -assert, -min-faults
@@ -95,14 +98,13 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "per-job timeout_ms (0 = unbounded)")
 
 		pollInterval = flag.Duration("poll-interval", 2*time.Millisecond, "first poll delay (backs off 1.5x to 25x this)")
-		noRetry      = flag.Bool("no-retry", false, "treat 429/503 as final instead of backing off and resubmitting")
 		verify       = flag.Bool("verify", true, "confirm each terminal state with one extra poll (double-completion check)")
 		runTimeout   = flag.Duration("run-timeout", 0, "bound the whole run (0 = until done or signal)")
 
 		sloSubmit  = flag.Duration("slo-submit-p99", 0, "SLO: accepted-submission p99 (0 = unchecked)")
 		sloPoll    = flag.Duration("slo-poll-p99", 0, "SLO: status-poll p99 (0 = unchecked)")
 		sloE2E     = flag.Duration("slo-e2e-p99", 0, "SLO: submit-to-done p99 (0 = unchecked)")
-		sloErrRate = flag.Float64("slo-error-rate", -1, "SLO: max error fraction of attempts (negative = unchecked)")
+		sloErrRate = flag.Float64("slo-error-rate", -1, "SLO: max fraction of attempts that errored or stayed refused after retries (negative = unchecked)")
 		assert     = flag.Bool("assert", false, "exit 1 on SLO violation or contract break")
 
 		out   = flag.String("o", "", "write the full JSON report here")
@@ -111,7 +113,6 @@ func main() {
 		selfQueue   = flag.Int("self-queue", 0, "with -self: queue capacity (0 = default)")
 		selfWorkers = flag.Int("self-queue-workers", 0, "with -self: queue worker count (0 = default)")
 
-		resilient   = flag.Bool("resilient", false, "drive the run through internal/client's retrying client (absorbs restarts and backpressure)")
 		verifyBytes = flag.Bool("verify-bytes", true, "record result bytes per job ID and count divergent re-observations")
 
 		selfFaults   = flag.String("self-faults", "", "with -self: deterministic disk-fault schedule for the store, e.g. write:every=5:eio (see internal/fault)")
@@ -215,10 +216,8 @@ func main() {
 		Jobs:           *n,
 		Rate:           *rate,
 		PollInterval:   *pollInterval,
-		NoRetry429:     *noRetry,
 		VerifyTerminal: *verify,
 		VerifyBytes:    *verifyBytes,
-		Resilient:      *resilient,
 		NewJob:         spec.Job,
 		SLO: &loadgen.SLO{
 			SubmitP99:    *sloSubmit,
@@ -255,6 +254,10 @@ func main() {
 		logger.Println(summarize(r))
 		if verr := r.Verify(); verr != nil {
 			logger.Println("battload: CONTRACT VIOLATION:", verr)
+			failed = true
+		}
+		if *self && r.Resubmits > 0 {
+			logger.Printf("battload: CONTRACT VIOLATION: %d resubmit(s) against the in-process daemon, which never restarts: each was a job it lost", r.Resubmits)
 			failed = true
 		}
 		for _, v := range r.Violations {
@@ -336,9 +339,9 @@ func parseSweep(s string, c int) ([]int, error) {
 // summarize renders one result as the stderr progress line.
 func summarize(r *loadgen.Result) string {
 	return fmt.Sprintf(
-		"battload: mode=%s c=%d jobs=%d: done=%d (err-results %d) expired=%d aborted=%d lost=%d dup=%d rejected429=%d errors=%d | e2e p50/p95/p99 = %.1f/%.1f/%.1fms | poll p99 %.1fms (%d polls) | %.0f jobs/s in %.1fs",
+		"battload: mode=%s c=%d jobs=%d: done=%d (err-results %d) expired=%d aborted=%d lost=%d dup=%d rejected_final=%d errors=%d resubmits=%d client-retries=%d | e2e p50/p95/p99 = %.1f/%.1f/%.1fms | poll p99 %.1fms (%d polls) | %.0f jobs/s in %.1fs",
 		r.Mode, r.Concurrency, r.Jobs, r.Done, r.DoneWithError, r.Expired, r.Aborted,
-		r.Lost, r.DoubleTerminal, r.Rejected, r.Errors,
+		r.Lost, r.DoubleTerminal, r.RejectedFinal, r.Errors, r.Resubmits, r.Client.Retries,
 		r.E2E.P50MS, r.E2E.P95MS, r.E2E.P99MS, r.Poll.P99MS, r.Polls,
 		r.ThroughputJPS, r.DurationMS/1000)
 }

@@ -9,7 +9,7 @@
 //     is idempotent by construction — a job's identity is the SHA-256
 //     content address of its canonical request, so resubmitting the
 //     same job coalesces onto the same computation server-side, and
-//     GET/DELETE are idempotent by HTTP semantics. A client for a
+//     GET is idempotent by HTTP semantics. A client for a
 //     different API should not copy this blanket policy; it is earned
 //     by the content addressing, not assumed.
 //   - Transport errors (connection refused/reset — the shape of a
@@ -24,15 +24,14 @@
 //   - Deadlines propagate: every request carries the caller's context,
 //     and backoff sleeps abort the moment the context dies. The context
 //     is the total budget across all attempts.
-//   - 4xx responses other than 429 (and 404 where noted) never retry:
+//   - 4xx responses other than 429 never retry:
 //     the request itself is wrong, and the same bytes will fail the
 //     same way.
 //
-// Do is the high-level entry: submit async, poll with the same backoff
-// discipline until terminal, and — because a job can finish and age out
-// of the server's retention window between polls — resubmit on 404,
-// which the content-addressed ID makes safe (the resubmission coalesces
-// or replays deterministically; Stats.Resubmits counts how often).
+// The calls are the async job API's three: Submit, Status and Stream.
+// A 404 from Status or Stream comes back as a *StatusError (IsNotFound):
+// the job aged out of retention or a restart forgot it, and the caller
+// resubmits under the same content address — internal/loadgen does.
 //
 //battlint:deterministic
 package client
@@ -70,19 +69,15 @@ type Config struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth; 0 means DefaultMaxBackoff.
 	MaxBackoff time.Duration
-	// PollInterval is Do's initial result-poll cadence; 0 means
-	// DefaultPollInterval. Polling backs off exponentially to MaxBackoff.
-	PollInterval time.Duration
 }
 
 // Client defaults: four attempts ride out a restart without stretching
 // a genuinely-down server past ~1s of waiting; 100ms–5s spans the gap
 // between a queue-full blip and a drain.
 const (
-	DefaultMaxAttempts  = 4
-	DefaultBaseBackoff  = 100 * time.Millisecond
-	DefaultMaxBackoff   = 5 * time.Second
-	DefaultPollInterval = 20 * time.Millisecond
+	DefaultMaxAttempts = 4
+	DefaultBaseBackoff = 100 * time.Millisecond
+	DefaultMaxBackoff  = 5 * time.Second
 )
 
 // Stats counts what the client absorbed so harnesses can prove the
@@ -96,9 +91,6 @@ type Stats struct {
 	// RetryAfter counts retries whose wait honored a server Retry-After
 	// header rather than the client's own backoff.
 	RetryAfter uint64 `json:"retry_after_honored"`
-	// Resubmits counts Do re-submissions after a poll 404 (the job aged
-	// out of retention between polls).
-	Resubmits uint64 `json:"resubmits"`
 }
 
 // Client is a resilient battschedd API client. Safe for concurrent use.
@@ -108,7 +100,6 @@ type Client struct {
 	attempts   atomic.Uint64
 	retries    atomic.Uint64
 	retryAfter atomic.Uint64
-	resubmits  atomic.Uint64
 }
 
 // New builds a client; Config.BaseURL must be set.
@@ -125,9 +116,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = DefaultMaxBackoff
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = DefaultPollInterval
-	}
 	return &Client{cfg: cfg}, nil
 }
 
@@ -137,7 +125,6 @@ func (c *Client) Stats() Stats {
 		Attempts:   c.attempts.Load(),
 		Retries:    c.retries.Load(),
 		RetryAfter: c.retryAfter.Load(),
-		Resubmits:  c.resubmits.Load(),
 	}
 }
 
@@ -146,9 +133,6 @@ func (c *Client) Stats() Stats {
 type StatusError struct {
 	Code int
 	Msg  string
-	// Body is the raw response body — some failure statuses (422) carry
-	// a full result payload, not just an error envelope.
-	Body []byte
 }
 
 func (e *StatusError) Error() string {
@@ -206,12 +190,12 @@ func retryAfterOf(resp *http.Response) time.Duration {
 
 // doRetry performs one logical call: up to MaxAttempts requests with
 // backoff between them, honoring Retry-After, bounded by ctx. body may
-// be nil (GET/DELETE); key seeds the deterministic jitter — callers
+// be nil (GET); key seeds the deterministic jitter — callers
 // pass the job's content address or the resource id, so identical
-// retried work backs off identically. On success the decoded JSON body
-// lands in out (when non-nil). Non-retryable statuses return a
-// *StatusError immediately.
-func (c *Client) doRetry(ctx context.Context, method, path, key string, body []byte, out any) error {
+// retried work backs off identically. On success it returns the
+// response body. Non-retryable statuses return a *StatusError
+// immediately.
+func (c *Client) doRetry(ctx context.Context, method, path, key string, body []byte) ([]byte, error) {
 	httpc := c.cfg.HTTPClient
 	if httpc == nil {
 		httpc = http.DefaultClient
@@ -230,7 +214,7 @@ func (c *Client) doRetry(ctx context.Context, method, path, key string, body []b
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
 		if err != nil {
-			return fmt.Errorf("client: %w", err)
+			return nil, fmt.Errorf("client: %w", err)
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
@@ -242,14 +226,14 @@ func (c *Client) doRetry(ctx context.Context, method, path, key string, body []b
 			// or fault-injected server. Retry unless the caller's
 			// context is the reason.
 			if ctx.Err() != nil {
-				return fmt.Errorf("client: %w", ctx.Err())
+				return nil, fmt.Errorf("client: %w", ctx.Err())
 			}
 			lastErr = fmt.Errorf("client: %w", err)
 			if last {
 				continue
 			}
 			if serr := sleep(ctx, c.backoff(key, attempt)); serr != nil {
-				return fmt.Errorf("client: %w", serr)
+				return nil, fmt.Errorf("client: %w", serr)
 			}
 			continue
 		}
@@ -261,12 +245,12 @@ func (c *Client) doRetry(ctx context.Context, method, path, key string, body []b
 				continue
 			}
 			if serr := sleep(ctx, c.backoff(key, attempt)); serr != nil {
-				return fmt.Errorf("client: %w", serr)
+				return nil, fmt.Errorf("client: %w", serr)
 			}
 			continue
 		}
 		if retryable(resp.StatusCode) {
-			lastErr = &StatusError{Code: resp.StatusCode, Msg: errorMsg(data), Body: data}
+			lastErr = &StatusError{Code: resp.StatusCode, Msg: errorMsg(data)}
 			if last {
 				continue
 			}
@@ -278,21 +262,16 @@ func (c *Client) doRetry(ctx context.Context, method, path, key string, body []b
 				}
 			}
 			if serr := sleep(ctx, wait); serr != nil {
-				return fmt.Errorf("client: %w", serr)
+				return nil, fmt.Errorf("client: %w", serr)
 			}
 			continue
 		}
 		if resp.StatusCode >= 400 {
-			return &StatusError{Code: resp.StatusCode, Msg: errorMsg(data), Body: data}
+			return nil, &StatusError{Code: resp.StatusCode, Msg: errorMsg(data)}
 		}
-		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("client: decoding %s response: %w", path, err)
-			}
-		}
-		return nil
+		return data, nil
 	}
-	return fmt.Errorf("client: %d attempts exhausted: %w", c.cfg.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("client: %d attempts exhausted: %w", c.cfg.MaxAttempts, lastErr)
 }
 
 // errorMsg extracts the server's {"error": ...} envelope, falling back
@@ -313,28 +292,6 @@ func errorMsg(data []byte) string {
 // the jitter needs).
 func jobKey(body []byte) string { return string(body) }
 
-// Schedule runs one job synchronously: POST /v1/schedule with the full
-// retry discipline. Safe to retry because scheduling is deterministic
-// and content-addressed — a replayed request returns the identical
-// result (usually from cache).
-func (c *Client) Schedule(ctx context.Context, job wire.Job) (wire.Result, error) {
-	body, err := json.Marshal(job)
-	if err != nil {
-		return wire.Result{}, fmt.Errorf("client: %w", err)
-	}
-	var res wire.Result
-	// A scheduling failure (infeasible deadline, …) arrives as 422 with
-	// a result body; treat it as a result, not an error.
-	err = c.doRetry(ctx, http.MethodPost, "/v1/schedule", jobKey(body), body, &res)
-	var se *StatusError
-	if errors.As(err, &se) && se.Code == http.StatusUnprocessableEntity {
-		if jerr := json.Unmarshal(se.Body, &res); jerr == nil {
-			return res, nil
-		}
-	}
-	return res, err
-}
-
 // Submit enqueues one async job: POST /v1/jobs with retry. The returned
 // status carries the job's content-addressed ID for polling.
 func (c *Client) Submit(ctx context.Context, job wire.Job) (wire.JobStatus, error) {
@@ -343,93 +300,57 @@ func (c *Client) Submit(ctx context.Context, job wire.Job) (wire.JobStatus, erro
 		return wire.JobStatus{}, fmt.Errorf("client: %w", err)
 	}
 	var st wire.JobStatus
-	err = c.doRetry(ctx, http.MethodPost, "/v1/jobs", jobKey(body), body, &st)
+	err = c.doJSON(ctx, http.MethodPost, "/v1/jobs", jobKey(body), body, &st)
 	return st, err
 }
 
 // Status polls one job: GET /v1/jobs/{id} with retry. A 404 (unknown or
-// aged-out job) returns a *StatusError with Code 404; Do turns that
-// into a resubmission.
+// aged-out job) returns a *StatusError with Code 404.
 func (c *Client) Status(ctx context.Context, id string) (wire.JobStatus, error) {
 	var st wire.JobStatus
-	err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+id, id, nil, &st)
+	err := c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+id, id, nil, &st)
 	return st, err
 }
 
-// Abort cancels one job: DELETE /v1/jobs/{id} with retry (idempotent —
-// aborting a terminal job reports its state unchanged).
-func (c *Client) Abort(ctx context.Context, id string) (wire.JobStatus, error) {
-	var st wire.JobStatus
-	err := c.doRetry(ctx, http.MethodDelete, "/v1/jobs/"+id, id, nil, &st)
-	return st, err
-}
-
-// Ready fetches the readiness verdict: GET /readyz. No retry beyond the
-// standard discipline — note a draining server answers 503, which
-// doRetry will wait out; callers probing state should bound ctx.
-func (c *Client) Ready(ctx context.Context) (wire.Ready, error) {
-	var rep wire.Ready
-	err := c.doRetry(ctx, http.MethodGet, "/readyz", "readyz", nil, &rep)
-	// A draining server's 503 still carries the verdict body.
-	var se *StatusError
-	if errors.As(err, &se) && se.Code == http.StatusServiceUnavailable {
-		if jerr := json.Unmarshal(se.Body, &rep); jerr == nil && rep.Status != "" {
-			return rep, nil
-		}
+// Stream waits on one job: GET /v1/jobs/{id}/stream with retry, which
+// the server holds open until the job is terminal. It returns every
+// result line the response carried: one from a correct server, none
+// when the job aged out mid-wait, more than one for a double
+// completion — judging the count is the caller's business. A 404
+// returns a *StatusError with Code 404, as Status does.
+func (c *Client) Stream(ctx context.Context, id string) ([]wire.Result, error) {
+	data, err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+id+"/stream", id, nil)
+	if err != nil {
+		return nil, err
 	}
-	return rep, err
+	var lines []wire.Result
+	for _, ln := range bytes.Split(data, []byte{'\n'}) {
+		if len(bytes.TrimSpace(ln)) == 0 {
+			continue
+		}
+		var res wire.Result
+		if err := json.Unmarshal(ln, &res); err != nil {
+			return lines, fmt.Errorf("client: decoding stream line: %w", err)
+		}
+		lines = append(lines, res)
+	}
+	return lines, nil
+}
+
+// doJSON is doRetry with the success body decoded into out.
+func (c *Client) doJSON(ctx context.Context, method, path, key string, body []byte, out any) error {
+	data, err := c.doRetry(ctx, method, path, key, body)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("client: decoding %s response: %w", path, err)
+	}
+	return nil
 }
 
 // IsNotFound reports whether err is a 404 StatusError.
 func IsNotFound(err error) bool {
 	var se *StatusError
 	return errors.As(err, &se) && se.Code == http.StatusNotFound
-}
-
-// Do runs one job end to end through the async API: submit, poll until
-// terminal, return the result line the stream endpoint would have
-// produced. Survives everything the retry discipline covers, plus the
-// two async-specific hazards: a job that ages out of retention between
-// polls is resubmitted (content addressing makes that safe and cheap —
-// the server answers from cache), and expired/aborted terminals are
-// returned as their retryable wire codes for the caller to decide.
-func (c *Client) Do(ctx context.Context, job wire.Job) (wire.Result, error) {
-	st, err := c.Submit(ctx, job)
-	if err != nil {
-		return wire.Result{}, err
-	}
-	poll := c.cfg.PollInterval
-	for {
-		switch st.State {
-		case wire.StateDone:
-			if st.Result == nil {
-				return wire.Result{}, fmt.Errorf("client: job %s done without result", st.ID)
-			}
-			res := *st.Result
-			res.Name = job.Name
-			return res, nil
-		case wire.StateExpired:
-			return wire.Result{Name: job.Name, Error: st.Error, Code: wire.CodeExpired}, nil
-		case wire.StateAborted:
-			return wire.Result{Name: job.Name, Error: st.Error, Code: wire.CodeAborted}, nil
-		}
-		if err := sleep(ctx, poll); err != nil {
-			return wire.Result{}, fmt.Errorf("client: %w", err)
-		}
-		if poll *= 2; poll > c.cfg.MaxBackoff {
-			poll = c.cfg.MaxBackoff
-		}
-		next, err := c.Status(ctx, st.ID)
-		if IsNotFound(err) {
-			// Finished and pruned between polls (or lost to a restart
-			// with no persistent queue). The ID is the content address,
-			// so resubmitting coalesces or replays — never double-runs.
-			c.resubmits.Add(1)
-			next, err = c.Submit(ctx, job)
-		}
-		if err != nil {
-			return wire.Result{}, err
-		}
-		st = next
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -69,50 +68,55 @@ func TestJitterDeterministic(t *testing.T) {
 	}
 }
 
-// TestScheduleRetriesTransportFault: a connection-reset-shaped failure
+// TestSubmitRetriesTransportFault: a connection-reset-shaped failure
 // on the first attempt is absorbed; the second attempt answers.
-func TestScheduleRetriesTransportFault(t *testing.T) {
+func TestSubmitRetriesTransportFault(t *testing.T) {
 	_, ts := newRealServer(t, server.Config{})
 	in := fault.NewInjector(fault.OS,
 		fault.Rule{Op: fault.OpRoundTrip, Nth: 1, Err: syscall.ECONNRESET})
 	c := newClient(t, fastBackoff(ts.URL, &http.Client{Transport: &fault.Transport{Injector: in}}))
 
-	res, err := c.Schedule(context.Background(), testJob())
+	st, err := c.Submit(context.Background(), testJob())
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
-	if res.Error != "" || len(res.Order) == 0 {
-		t.Fatalf("result: %+v", res)
+	if st.ID == "" {
+		t.Fatalf("status: %+v", st)
 	}
-	st := c.Stats()
-	if st.Retries != 1 || st.Attempts != 2 {
-		t.Errorf("stats = %+v, want 1 retry / 2 attempts", st)
+	stats := c.Stats()
+	if stats.Retries != 1 || stats.Attempts != 2 {
+		t.Errorf("stats = %+v, want 1 retry / 2 attempts", stats)
 	}
 }
 
-// TestScheduleRetries503And429: synthesized backpressure responses with
+// TestStatusRetries503And429: synthesized backpressure responses with
 // Retry-After are retried and the header honored (counted).
-func TestScheduleRetries503And429(t *testing.T) {
+func TestStatusRetries503And429(t *testing.T) {
 	_, ts := newRealServer(t, server.Config{})
+	c := newClient(t, fastBackoff(ts.URL, nil))
+	sub, err := c.Submit(context.Background(), testJob())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+
 	in := fault.NewInjector(fault.OS,
 		fault.Rule{Op: fault.OpRoundTrip, Nth: 1, Status: 503},
 		fault.Rule{Op: fault.OpRoundTrip, Nth: 2, Status: 429})
-	c := newClient(t, fastBackoff(ts.URL, &http.Client{Transport: &fault.Transport{Injector: in}}))
-
+	c = newClient(t, fastBackoff(ts.URL, &http.Client{Transport: &fault.Transport{Injector: in}}))
 	start := time.Now()
-	res, err := c.Schedule(context.Background(), testJob())
+	st, err := c.Status(context.Background(), sub.ID)
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("Status: %v", err)
 	}
-	if len(res.Order) == 0 {
-		t.Fatalf("result: %+v", res)
+	if st.ID != sub.ID {
+		t.Fatalf("status: %+v", st)
 	}
-	st := c.Stats()
-	if st.Retries != 2 {
-		t.Errorf("retries = %d, want 2", st.Retries)
+	stats := c.Stats()
+	if stats.Retries != 2 {
+		t.Errorf("retries = %d, want 2", stats.Retries)
 	}
-	if st.RetryAfter != 2 {
-		t.Errorf("retry_after_honored = %d, want 2", st.RetryAfter)
+	if stats.RetryAfter != 2 {
+		t.Errorf("retry_after_honored = %d, want 2", stats.RetryAfter)
 	}
 	// The injected Retry-After is 1s and must floor the wait: two
 	// honored headers mean >= 2s of waiting.
@@ -126,7 +130,7 @@ func TestNoRetryOn400(t *testing.T) {
 	_, ts := newRealServer(t, server.Config{})
 	c := newClient(t, fastBackoff(ts.URL, nil))
 
-	_, err := c.Schedule(context.Background(), wire.Job{Fixture: "no-such-fixture", Deadline: 1, Strategy: "iterative"})
+	_, err := c.Submit(context.Background(), wire.Job{Fixture: "no-such-fixture", Deadline: 1, Strategy: "iterative"})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("err = %v, want StatusError 400", err)
@@ -136,86 +140,58 @@ func TestNoRetryOn400(t *testing.T) {
 	}
 }
 
-// TestSchedule422IsResult: a deterministic scheduling failure (422)
-// comes back as a result with an error field, not a client error, and
-// is never retried (it would fail identically).
-func TestSchedule422IsResult(t *testing.T) {
+// TestNotFoundIsFinal: an unknown job ID is a 404 from both Status and
+// Stream, reported through IsNotFound and never retried — only a
+// resubmission can bring the job back.
+func TestNotFoundIsFinal(t *testing.T) {
 	_, ts := newRealServer(t, server.Config{})
 	c := newClient(t, fastBackoff(ts.URL, nil))
 
-	res, err := c.Schedule(context.Background(), wire.Job{Fixture: "g3", Deadline: 1, Strategy: "iterative"})
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+	if _, err := c.Status(context.Background(), "feedface"); !IsNotFound(err) {
+		t.Fatalf("Status err = %v, want 404", err)
 	}
-	if res.Error == "" {
-		t.Fatalf("infeasible deadline produced no error: %+v", res)
+	if _, err := c.Stream(context.Background(), "feedface"); !IsNotFound(err) {
+		t.Fatalf("Stream err = %v, want 404", err)
 	}
-	if st := c.Stats(); st.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1 (422 is deterministic)", st.Attempts)
+	if st := c.Stats(); st.Attempts != 2 || st.Retries != 0 {
+		t.Errorf("stats = %+v, want one attempt per call", st)
 	}
 }
 
-// TestDoEndToEnd: the async path against the real server.
-func TestDoEndToEnd(t *testing.T) {
+// TestStreamEndToEnd: the async path against the real server. The
+// stream carries exactly one result line, the status poll carries the
+// same result, and resubmitting the same job answers from retention
+// with byte-identical bytes.
+func TestStreamEndToEnd(t *testing.T) {
 	_, ts := newRealServer(t, server.Config{})
 	c := newClient(t, fastBackoff(ts.URL, nil))
+	ctx := context.Background()
 
-	res, err := c.Do(context.Background(), testJob())
+	sub, err := c.Submit(ctx, testJob())
 	if err != nil {
-		t.Fatalf("Do: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
-	if res.Error != "" || len(res.Order) == 0 {
-		t.Fatalf("result: %+v", res)
-	}
-
-	// Same job again: content addressing means the server answers from
-	// its retained terminal (or cache) — still exactly one result.
-	res2, err := c.Do(context.Background(), testJob())
+	lines, err := c.Stream(ctx, sub.ID)
 	if err != nil {
-		t.Fatalf("Do (repeat): %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
-	a, _ := json.Marshal(res)
-	b, _ := json.Marshal(res2)
-	if string(a) != string(b) {
-		t.Fatalf("repeat result differs:\n%s\n%s", a, b)
+	if len(lines) != 1 || lines[0].Error != "" || len(lines[0].Order) == 0 {
+		t.Fatalf("stream lines: %+v", lines)
 	}
-}
+	want, _ := json.Marshal(lines[0])
 
-// TestDoResubmitsOn404: a job that ages out of retention between polls
-// is resubmitted under its content address instead of failing.
-func TestDoResubmitsOn404(t *testing.T) {
-	var polls atomic.Int64
-	result := wire.Result{Index: 0, Cost: 42, Order: []int{0}, Assignment: map[int]int{0: 0}}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		st := wire.JobStatus{ID: "a1b2", State: wire.StateQueued}
-		if polls.Load() > 0 { // the resubmission: answer terminal
-			st.State = wire.StateDone
-			st.Result = &result
-			w.WriteHeader(http.StatusOK)
-		} else {
-			w.WriteHeader(http.StatusAccepted)
+	st, err := c.Status(ctx, sub.ID)
+	if err != nil || st.State != wire.StateDone || st.Result == nil {
+		t.Fatalf("Status: %+v, %v", st, err)
+	}
+	again, err := c.Submit(ctx, testJob())
+	if err != nil || again.ID != sub.ID || again.State != wire.StateDone || again.Result == nil {
+		t.Fatalf("resubmit: %+v, %v", again, err)
+	}
+	for name, res := range map[string]*wire.Result{"status": st.Result, "resubmit": again.Result} {
+		if got, _ := json.Marshal(res); string(got) != string(want) {
+			t.Fatalf("%s result differs from the stream line:\n%s\n%s", name, got, want)
 		}
-		json.NewEncoder(w).Encode(st)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		polls.Add(1) // every poll: the job has aged out
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "unknown job id"})
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	c := newClient(t, fastBackoff(ts.URL, nil))
-	res, err := c.Do(context.Background(), testJob())
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if res.Cost != 42 {
-		t.Fatalf("result: %+v", res)
-	}
-	if st := c.Stats(); st.Resubmits != 1 {
-		t.Errorf("resubmits = %d, want 1", st.Resubmits)
 	}
 }
 
@@ -247,24 +223,6 @@ func TestDrainRejectionsRetryAndExhaust(t *testing.T) {
 	}
 }
 
-// TestReadyAgainstDrain: the readiness probe decodes the draining
-// verdict out of the 503 body.
-func TestReadyAgainstDrain(t *testing.T) {
-	srv, ts := newRealServer(t, server.Config{})
-	c := newClient(t, Config{BaseURL: ts.URL, MaxAttempts: 1})
-
-	rep, err := c.Ready(context.Background())
-	if err != nil || rep.Status != wire.ReadyOK {
-		t.Fatalf("healthy Ready: %+v, %v", rep, err)
-	}
-
-	srv.Close()
-	rep, err = c.Ready(context.Background())
-	if err != nil || rep.Status != wire.ReadyDraining {
-		t.Fatalf("draining Ready: %+v, %v", rep, err)
-	}
-}
-
 // TestDeadlinePropagation: a latency fault longer than the caller's
 // deadline aborts the call at the deadline, not after the full wait.
 func TestDeadlinePropagation(t *testing.T) {
@@ -276,7 +234,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Schedule(ctx, testJob())
+	_, err := c.Submit(ctx, testJob())
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}

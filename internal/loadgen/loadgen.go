@@ -7,26 +7,21 @@
 // contract under load — every accepted job reaches exactly one terminal
 // state, none are lost, none complete twice.
 //
-// The harness is deliberately client-shaped: it talks to the server
-// over real HTTP (no shortcuts through internal state), so what it
-// measures is what a user sees, and what it verifies is the wire
-// contract. Results condense into a Result that can be checked against
+// The harness is deliberately client-shaped: every request goes through
+// internal/client over real HTTP (no shortcuts through internal state),
+// so what it measures is what a user of that client sees — retries and
+// backoff included — and what it verifies is the wire contract. Results condense into a Result that can be checked against
 // an SLO, serialized as JSON, or emitted in `go test -bench` format for
 // scripts/benchjson — the same snapshot pipeline the compute
 // benchmarks use (BENCH_*.json).
 package loadgen
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,9 +46,10 @@ const (
 type Config struct {
 	// BaseURL roots the target server, e.g. "http://127.0.0.1:8347".
 	BaseURL string
-	// Client is the HTTP client; nil builds one sized for Concurrency
-	// (idle connection pool large enough that virtual clients do not
-	// fight over two keep-alive sockets, the net/http default).
+	// Client is the HTTP client under internal/client; nil builds one
+	// sized for Concurrency (idle connection pool large enough that
+	// virtual clients do not fight over two keep-alive sockets, the
+	// net/http default). Fault tests inject a fault.Transport here.
 	Client *http.Client
 	// Mode is poll (default) or stream.
 	Mode Mode
@@ -70,11 +66,6 @@ type Config struct {
 	// polls back off 1.5x up to MaxPollInterval. Defaults 2ms / 50ms.
 	PollInterval    time.Duration
 	MaxPollInterval time.Duration
-	// NoRetry429 disables resubmitting admission-rejected jobs. By
-	// default a 429/503 submission waits the server's Retry-After hint
-	// (capped at 1s) and tries again, so backpressure sheds load
-	// without losing it — the rejection still counts in the report.
-	NoRetry429 bool
 	// VerifyTerminal re-polls each job once after observing a terminal
 	// state and counts a state change as a double completion. Cheap
 	// (terminal polls are lookups) and on by default in battload's
@@ -87,19 +78,6 @@ type Config struct {
 	// re-observe IDs, so this is what proves "byte-identical results"
 	// under faults rather than assuming it.
 	VerifyBytes bool
-	// Resilient routes submissions and polls through internal/client's
-	// retrying Client instead of raw HTTP: transport errors (a killed or
-	// restarting server) and 429/503 rejections are absorbed with capped
-	// deterministic backoff, and a job that vanishes mid-poll (a restart
-	// wiped the in-memory queue) is resubmitted under its content
-	// address. This is the mode chaos runs use — the contract should
-	// hold through faults *because* the client is resilient.
-	Resilient bool
-	// ResilientAttempts / ResilientBackoff tune the embedded client
-	// (defaults 8 attempts from 50ms: ~6s of cumulative patience, enough
-	// to ride out a SIGKILL + restart).
-	ResilientAttempts int
-	ResilientBackoff  time.Duration
 	// NewJob builds the i-th submission (0-based). Required. See
 	// JobSpec for the standard deterministic generator.
 	NewJob func(i int) wire.Job
@@ -108,6 +86,17 @@ type Config struct {
 	SLO *SLO
 }
 
+// The embedded client's tuning: 8 attempts from 50ms is ~6s of
+// cumulative patience per call, enough to ride out a SIGKILL + restart
+// of the daemon under test.
+const (
+	clientAttempts = 8
+	clientBackoff  = 50 * time.Millisecond
+)
+
+// errNoTerminal is a stream that ended without a result line.
+var errNoTerminal = errors.New("loadgen: stream ended without a terminal line")
+
 // runState is the shared accounting one run's workers feed.
 type runState struct {
 	submit, poll, e2e Hist
@@ -115,9 +104,8 @@ type runState struct {
 	attempted      atomic.Int64 // submissions started
 	unsent         atomic.Int64 // ctx ended before the submission was attempted
 	accepted       atomic.Int64 // submissions the queue admitted (or answered from retention)
-	rejected       atomic.Int64 // 429 responses observed (incl. retried ones)
-	unavailable    atomic.Int64 // 503 responses observed
-	rejectedFinal  atomic.Int64 // submissions that gave up unadmitted (NoRetry429 or ctx ended mid-backoff)
+	rejected       atomic.Int64 // submissions refused with a final 429 (client retries spent)
+	unavailable    atomic.Int64 // submissions refused with a final 503
 	errorsFinal    atomic.Int64 // submissions that ended in a non-backpressure error
 	done           atomic.Int64 // terminal: result delivered
 	doneWithError  atomic.Int64 // subset of done whose result carries a scheduling error
@@ -125,8 +113,8 @@ type runState struct {
 	aborted        atomic.Int64 // terminal: aborted (drain or DELETE)
 	lost           atomic.Int64 // accepted but no terminal state observed — the invariant violation
 	doubleTerminal atomic.Int64 // terminal state changed after first observation — the other violation
-	polls          atomic.Int64 // GET /v1/jobs/{id} requests issued
-	resubmits      atomic.Int64 // resilient-mode resubmissions after a poll 404
+	polls          atomic.Int64 // status lookups (GET /v1/jobs/{id}), verify re-polls included
+	resubmits      atomic.Int64 // resubmissions after a status or stream 404
 
 	byteMismatch atomic.Int64 // same job ID observed with differing result bytes
 	results      sync.Map     // job ID -> first observed result JSON (VerifyBytes)
@@ -165,27 +153,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			IdleConnTimeout:     30 * time.Second,
 		}}
 	}
-
-	var rc *client.Client
-	if cfg.Resilient {
-		attempts := cfg.ResilientAttempts
-		if attempts <= 0 {
-			attempts = 8
-		}
-		backoff := cfg.ResilientBackoff
-		if backoff <= 0 {
-			backoff = 50 * time.Millisecond
-		}
-		var err error
-		rc, err = client.New(client.Config{
-			BaseURL:     cfg.BaseURL,
-			HTTPClient:  httpc,
-			MaxAttempts: attempts,
-			BaseBackoff: backoff,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: %w", err)
-		}
+	rc, err := client.New(client.Config{
+		BaseURL:     cfg.BaseURL,
+		HTTPClient:  httpc,
+		MaxAttempts: clientAttempts,
+		BaseBackoff: clientBackoff,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: %w", err)
 	}
 
 	st := &runState{}
@@ -220,13 +195,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					st.unsent.Add(1)
 					continue
 				}
-				runOne(ctx, httpc, rc, cfg, st, i)
+				runOne(ctx, rc, cfg, st, i)
 			}
 		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(begin)
 
+	cs := rc.Stats()
 	res := &Result{
 		Mode:           string(cfg.Mode),
 		Concurrency:    cfg.Concurrency,
@@ -238,7 +214,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Accepted:       st.accepted.Load(),
 		Rejected:       st.rejected.Load(),
 		Unavailable:    st.unavailable.Load(),
-		RejectedFinal:  st.rejectedFinal.Load(),
+		RejectedFinal:  st.rejected.Load() + st.unavailable.Load(),
 		Errors:         st.errorsFinal.Load(),
 		Done:           st.done.Load(),
 		DoneWithError:  st.doneWithError.Load(),
@@ -252,10 +228,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Submit:         st.submit.Summary(),
 		Poll:           st.poll.Summary(),
 		E2E:            st.e2e.Summary(),
-	}
-	if rc != nil {
-		cs := rc.Stats()
-		res.Client = &cs
+		Client:         &cs,
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		res.ThroughputJPS = float64(res.Done) / secs
@@ -291,185 +264,97 @@ func pacer(ctx context.Context, rate float64, out chan<- struct{}) {
 	}
 }
 
-// runOne drives one submission through its whole lifecycle.
-func runOne(ctx context.Context, httpc *http.Client, rc *client.Client, cfg Config, st *runState, i int) {
+// runOne drives one submission through its whole lifecycle: submit,
+// then wait — poll with backoff, or one stream GET — until terminal.
+// The client has already absorbed transport faults and backpressure;
+// this loop handles what retries cannot: a job ID the server no longer
+// knows (a restart wiped the in-memory queue, or retention aged the
+// terminal out), which the content address makes safe to resubmit —
+// the resubmission coalesces or replays, never double-runs.
+func runOne(ctx context.Context, rc *client.Client, cfg Config, st *runState, i int) {
 	st.attempted.Add(1)
 	job := cfg.NewJob(i)
-	if rc != nil {
-		runOneResilient(ctx, rc, cfg, st, job)
-		return
-	}
-	body, err := json.Marshal(job)
-	if err != nil {
-		st.errorsFinal.Add(1)
-		return
-	}
 	begin := time.Now()
-	status, ok := submit(ctx, httpc, cfg, st, body)
-	if !ok {
-		return // accounting already done
-	}
-	st.accepted.Add(1)
-
-	if terminalState(status.State) {
-		// Answered from retention (or raced to done): the submit round
-		// trip was the whole journey.
-		st.e2e.Observe(time.Since(begin))
-		recordTerminal(ctx, rawStatus(httpc, cfg, st), cfg, st, status.ID, status.State, status.Result)
-		return
-	}
-	switch cfg.Mode {
-	case ModeStream:
-		streamOne(ctx, httpc, cfg, st, status.ID, begin)
-	default:
-		pollOne(ctx, httpc, cfg, st, status.ID, begin)
-	}
-}
-
-// runOneResilient is runOne on top of internal/client: the retrying
-// client absorbs transport faults and backpressure; this loop only has
-// to handle what retries cannot — a job ID the server no longer knows,
-// which the content address makes safe to resubmit.
-func runOneResilient(ctx context.Context, rc *client.Client, cfg Config, st *runState, job wire.Job) {
-	begin := time.Now()
-	t0 := time.Now()
 	status, err := rc.Submit(ctx, job)
 	if err != nil {
 		var se *client.StatusError
 		switch {
 		case errors.As(err, &se) && se.Code == http.StatusTooManyRequests:
 			st.rejected.Add(1)
-			st.rejectedFinal.Add(1)
 		case errors.As(err, &se) && se.Code == http.StatusServiceUnavailable:
 			st.unavailable.Add(1)
-			st.rejectedFinal.Add(1)
 		default:
 			st.errorsFinal.Add(1)
 		}
 		return
 	}
-	st.submit.Observe(time.Since(t0))
+	st.submit.Observe(time.Since(begin))
 	st.accepted.Add(1)
 
-	sf := resilientStatus(rc)
-	if terminalState(status.State) {
-		st.e2e.Observe(time.Since(begin))
-		recordTerminal(ctx, sf, cfg, st, status.ID, status.State, status.Result)
-		return
-	}
+	id := status.ID
 	interval := cfg.PollInterval
-	for {
-		if !sleepCtx(ctx, interval) {
-			st.lost.Add(1)
-			return
+	for !terminalState(status.State) {
+		if cfg.Mode == ModeStream {
+			status, err = stream(ctx, rc, st, id)
+		} else {
+			if !sleepCtx(ctx, interval) {
+				st.lost.Add(1)
+				return
+			}
+			interval = min(interval*3/2, cfg.MaxPollInterval)
+			status, err = poll(ctx, rc, st, id)
 		}
-		p0 := time.Now()
-		next, err := rc.Status(ctx, status.ID)
-		st.polls.Add(1)
-		st.poll.Observe(time.Since(p0))
 		if client.IsNotFound(err) {
-			// The server forgot the job: a restart wiped the in-memory
-			// queue, or retention aged the terminal out between polls.
-			// Resubmitting under the content address coalesces or
-			// replays — never double-runs.
 			st.resubmits.Add(1)
-			next, err = rc.Submit(ctx, job)
+			status, err = rc.Submit(ctx, job)
 		}
 		if err != nil {
-			// Retries are already spent inside the client; a submission
-			// that still cannot reach the server is lost from where this
-			// client stands.
+			// Retries are already spent inside the client (or the
+			// stream ended empty): from where this client stands, the
+			// job is lost.
 			st.lost.Add(1)
 			return
 		}
-		if terminalState(next.State) {
-			st.e2e.Observe(time.Since(begin))
-			recordTerminal(ctx, sf, cfg, st, status.ID, next.State, next.Result)
-			return
-		}
-		if interval = interval * 3 / 2; interval > cfg.MaxPollInterval {
-			interval = cfg.MaxPollInterval
-		}
 	}
+	st.e2e.Observe(time.Since(begin))
+	recordTerminal(ctx, rc, cfg, st, id, status)
 }
 
-// resilientStatus adapts the retrying client to the statusFunc shape
-// recordTerminal's verification poll wants.
-func resilientStatus(rc *client.Client) statusFunc {
-	return func(ctx context.Context, id string) (wire.JobStatus, int, error) {
-		status, err := rc.Status(ctx, id)
-		if err != nil {
-			var se *client.StatusError
-			if errors.As(err, &se) {
-				return status, se.Code, nil
-			}
-			return status, 0, err
-		}
-		return status, http.StatusOK, nil
-	}
+// poll is one status lookup, counted and timed as a poll whether it
+// waits out a job or re-checks a terminal one.
+func poll(ctx context.Context, rc *client.Client, st *runState, id string) (wire.JobStatus, error) {
+	t0 := time.Now()
+	status, err := rc.Status(ctx, id)
+	st.polls.Add(1)
+	st.poll.Observe(time.Since(t0))
+	return status, err
 }
 
-// submit POSTs the job until accepted, retrying backpressure rejections
-// unless configured not to. ok=false means the submission ended here
-// (already accounted).
-func submit(ctx context.Context, httpc *http.Client, cfg Config, st *runState, body []byte) (wire.JobStatus, bool) {
-	url := strings.TrimRight(cfg.BaseURL, "/") + "/v1/jobs"
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			st.errorsFinal.Add(1)
-			return wire.JobStatus{}, false
-		}
-		req.Header.Set("Content-Type", "application/json")
-		t0 := time.Now()
-		resp, err := httpc.Do(req)
-		if err != nil {
-			st.errorsFinal.Add(1)
-			return wire.JobStatus{}, false
-		}
-		rb, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusAccepted:
-			st.submit.Observe(time.Since(t0))
-			var status wire.JobStatus
-			if rerr != nil || json.Unmarshal(rb, &status) != nil || status.ID == "" {
-				st.errorsFinal.Add(1)
-				return wire.JobStatus{}, false
-			}
-			return status, true
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			if resp.StatusCode == http.StatusTooManyRequests {
-				st.rejected.Add(1)
-			} else {
-				st.unavailable.Add(1)
-			}
-			if cfg.NoRetry429 {
-				st.rejectedFinal.Add(1)
-				return wire.JobStatus{}, false
-			}
-			if !sleepCtx(ctx, retryAfter(resp)) {
-				st.rejectedFinal.Add(1)
-				return wire.JobStatus{}, false
-			}
-		default:
-			st.errorsFinal.Add(1)
-			return wire.JobStatus{}, false
-		}
+// stream waits on the job's stream endpoint and converts its terminal
+// line to the status a poll would have returned. No line is
+// errNoTerminal; more than one is a double completion.
+func stream(ctx context.Context, rc *client.Client, st *runState, id string) (wire.JobStatus, error) {
+	lines, err := rc.Stream(ctx, id)
+	if err != nil {
+		return wire.JobStatus{}, err
 	}
-}
-
-// retryAfter reads the server's backoff hint, capped to keep a stuck
-// header from stalling the run.
-func retryAfter(resp *http.Response) time.Duration {
-	if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-		d := time.Duration(s) * time.Second
-		if d > time.Second {
-			d = time.Second
-		}
-		return d
+	if len(lines) == 0 {
+		return wire.JobStatus{}, errNoTerminal
 	}
-	return 50 * time.Millisecond
+	if len(lines) > 1 {
+		st.doubleTerminal.Add(1)
+	}
+	line := lines[0]
+	status := wire.JobStatus{ID: id, State: wire.StateDone}
+	switch line.Code {
+	case wire.CodeExpired:
+		status.State = wire.StateExpired
+	case wire.CodeAborted:
+		status.State = wire.StateAborted
+	default:
+		status.Result = &line
+	}
+	return status, nil
 }
 
 // sleepCtx sleeps d or until ctx ends, reporting whether it slept.
@@ -484,138 +369,15 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// pollOne polls the job until a terminal state, with backoff.
-func pollOne(ctx context.Context, httpc *http.Client, cfg Config, st *runState, id string, begin time.Time) {
-	interval := cfg.PollInterval
-	for {
-		if !sleepCtx(ctx, interval) {
-			st.lost.Add(1)
-			return
-		}
-		status, code, err := getStatus(ctx, httpc, cfg, st, id)
-		if err != nil || code == http.StatusNotFound {
-			// A job the server no longer knows (or a transport failure
-			// that outlives one retry-at-next-interval) is a lost job
-			// from where the client stands.
-			if ctx.Err() != nil || code == http.StatusNotFound {
-				st.lost.Add(1)
-				return
-			}
-		} else if terminalState(status.State) {
-			st.e2e.Observe(time.Since(begin))
-			recordTerminal(ctx, rawStatus(httpc, cfg, st), cfg, st, id, status.State, status.Result)
-			return
-		}
-		if interval = interval * 3 / 2; interval > cfg.MaxPollInterval {
-			interval = cfg.MaxPollInterval
-		}
-	}
-}
-
-// getStatus is one poll round trip.
-func getStatus(ctx context.Context, httpc *http.Client, cfg Config, st *runState, id string) (wire.JobStatus, int, error) {
-	url := strings.TrimRight(cfg.BaseURL, "/") + "/v1/jobs/" + id
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return wire.JobStatus{}, 0, err
-	}
-	t0 := time.Now()
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return wire.JobStatus{}, 0, err
-	}
-	defer resp.Body.Close()
-	st.polls.Add(1)
-	st.poll.Observe(time.Since(t0))
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return wire.JobStatus{}, resp.StatusCode, nil
-	}
-	var status wire.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		return wire.JobStatus{}, resp.StatusCode, err
-	}
-	return status, resp.StatusCode, nil
-}
-
-// streamOne blocks on the job's stream endpoint until its single
-// terminal line arrives. More than one line is a double completion.
-func streamOne(ctx context.Context, httpc *http.Client, cfg Config, st *runState, id string, begin time.Time) {
-	url := strings.TrimRight(cfg.BaseURL, "/") + "/v1/jobs/" + id + "/stream"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		st.lost.Add(1)
-		return
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		st.lost.Add(1)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		st.lost.Add(1)
-		return
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 1<<24)
-	lines := 0
-	var line wire.Result
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		if lines == 0 {
-			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-				st.errorsFinal.Add(1)
-				return
-			}
-		}
-		lines++
-	}
-	if lines == 0 {
-		st.lost.Add(1)
-		return
-	}
-	if lines > 1 {
-		st.doubleTerminal.Add(1)
-	}
-	st.e2e.Observe(time.Since(begin))
-	state := wire.StateDone
-	switch line.Code {
-	case wire.CodeExpired:
-		state = wire.StateExpired
-	case wire.CodeAborted:
-		state = wire.StateAborted
-	}
-	var res *wire.Result
-	if state == wire.StateDone {
-		res = &line
-	}
-	recordTerminal(ctx, rawStatus(httpc, cfg, st), cfg, st, id, state, res)
-}
-
-// statusFunc is one status lookup: the raw poll or the resilient
-// client's, so recordTerminal's verification re-poll works in both
-// modes.
-type statusFunc func(ctx context.Context, id string) (wire.JobStatus, int, error)
-
-// rawStatus adapts getStatus to the statusFunc shape.
-func rawStatus(httpc *http.Client, cfg Config, st *runState) statusFunc {
-	return func(ctx context.Context, id string) (wire.JobStatus, int, error) {
-		return getStatus(ctx, httpc, cfg, st, id)
-	}
-}
-
 // recordTerminal counts a terminal observation and, when verification
 // is on, confirms the state held: a job observed done must still be
 // done one poll later — anything else is a second completion. With
 // VerifyBytes it also pins the result bytes per job ID: a second
 // observation of the same ID (a duplicate submission, a chaos
 // resubmission) must carry byte-identical JSON.
-func recordTerminal(ctx context.Context, sf statusFunc, cfg Config, st *runState, id, state string, res *wire.Result) {
-	switch state {
+func recordTerminal(ctx context.Context, rc *client.Client, cfg Config, st *runState, id string, status wire.JobStatus) {
+	res := status.Result
+	switch status.State {
 	case wire.StateDone:
 		st.done.Add(1)
 		if res != nil && res.Error != "" {
@@ -640,11 +402,11 @@ func recordTerminal(ctx context.Context, sf statusFunc, cfg Config, st *runState
 	if !cfg.VerifyTerminal {
 		return
 	}
-	again, code, err := sf(ctx, id)
-	if err != nil || code != http.StatusOK {
+	again, err := poll(ctx, rc, st, id)
+	if err != nil {
 		return // retention pruning or shutdown; absence is not a second state
 	}
-	if again.State != state {
+	if again.State != status.State {
 		st.doubleTerminal.Add(1)
 	}
 }

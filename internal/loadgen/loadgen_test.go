@@ -2,9 +2,11 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -67,13 +69,20 @@ func TestRunPoll(t *testing.T) {
 func TestRunStream(t *testing.T) {
 	base := newTarget(t, server.Config{})
 	spec := baseSpec()
+	// Jobs slow enough (several ms) that a first poll at 2ms rarely finds
+	// them done: a poll loop posing as stream mode shows as extra polls.
+	slow := func(i int) wire.Job {
+		job := spec.Job(i)
+		job.Strategy, job.Restarts, job.Seed = "multistart", 64, int64(i+1)
+		return job
+	}
 	res, err := Run(context.Background(), Config{
 		BaseURL:        base,
 		Mode:           ModeStream,
 		Jobs:           40,
 		Concurrency:    8,
 		VerifyTerminal: true,
-		NewJob:         spec.Job,
+		NewJob:         slow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +90,71 @@ func TestRunStream(t *testing.T) {
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Done != 40 || res.Polls == 0 {
-		// Polls > 0: the verify re-poll still runs in stream mode.
-		t.Fatalf("done=%d polls=%d, want 40 and >0", res.Done, res.Polls)
+	// Stream mode waits on the stream endpoint, so the only status
+	// lookups are the verify re-polls: exactly one per done job.
+	if res.Done != 40 || res.Polls != res.Done || int64(res.Poll.Count) != res.Polls {
+		t.Fatalf("done=%d polls=%d poll.count=%d, want 40/40/40", res.Done, res.Polls, res.Poll.Count)
+	}
+}
+
+// TestRunResubmitsOn404: a job the server forgets between submit and
+// terminal — a status 404 in poll mode, a stream 404 in stream mode —
+// is resubmitted under its content address instead of being lost.
+func TestRunResubmitsOn404(t *testing.T) {
+	for _, mode := range []Mode{ModePoll, ModeStream} {
+		t.Run(string(mode), func(t *testing.T) {
+			var submits, statusGets, streamGets atomic.Int64
+			result := wire.Result{Cost: 42, Order: []int{0}, Assignment: map[int]int{0: 0}}
+			done := wire.JobStatus{ID: "a1b2", State: wire.StateDone, Result: &result}
+			notFound := func(w http.ResponseWriter) {
+				w.WriteHeader(http.StatusNotFound)
+				json.NewEncoder(w).Encode(map[string]string{"error": "unknown job id"})
+			}
+			mux := http.NewServeMux()
+			mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+				if submits.Add(1) == 1 {
+					w.WriteHeader(http.StatusAccepted)
+					json.NewEncoder(w).Encode(wire.JobStatus{ID: "a1b2", State: wire.StateQueued})
+					return
+				}
+				json.NewEncoder(w).Encode(done) // the resubmission: answered from retention
+			})
+			mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+				if mode == ModePoll && statusGets.Add(1) == 1 {
+					notFound(w)
+					return
+				}
+				json.NewEncoder(w).Encode(done)
+			})
+			mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+				if streamGets.Add(1) == 1 {
+					notFound(w)
+					return
+				}
+				json.NewEncoder(w).Encode(result)
+			})
+			ts := httptest.NewServer(mux)
+			defer ts.Close()
+
+			spec := baseSpec()
+			res, err := Run(context.Background(), Config{
+				BaseURL:        ts.URL,
+				Mode:           mode,
+				Jobs:           1,
+				Concurrency:    1,
+				VerifyTerminal: true,
+				NewJob:         spec.Job,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if res.Resubmits != 1 || res.Done != 1 || res.Lost != 0 {
+				t.Fatalf("resubmits=%d done=%d lost=%d, want 1/1/0", res.Resubmits, res.Done, res.Lost)
+			}
+		})
 	}
 }
 
@@ -110,20 +181,22 @@ func TestRunSLOViolation(t *testing.T) {
 	}
 }
 
-// TestRunBackpressure: a one-slot queue under a burst rejects with 429;
-// with retries disabled the rejections are final, and the accounting
+// TestRunBackpressure: a one-slot queue under a burst answers 429; the
+// client's retries absorb the rejections (they show as client retries,
+// not as final refusals unless the retries ran out), and the accounting
 // still closes (attempted = accepted + rejectedFinal + errors).
 func TestRunBackpressure(t *testing.T) {
 	base := newTarget(t, server.Config{MaxQueued: 1, QueueWorkers: 1, Workers: 1})
 	res, err := Run(context.Background(), Config{
-		BaseURL:     base,
-		Jobs:        24,
-		Concurrency: 12,
-		NoRetry429:  true,
+		BaseURL: base,
+		// Every retry round waits out the server's 1s Retry-After and
+		// admits about two jobs, so a small burst keeps the run short.
+		Jobs:        6,
+		Concurrency: 6,
 		NewJob: func(i int) wire.Job {
 			// Slow, distinct jobs so the queue actually fills.
 			return wire.Job{Fixture: "g3", Deadline: 230, Strategy: "multistart",
-				Restarts: 3000, Seed: int64(i + 1)}
+				Restarts: 300, Seed: int64(i + 1)}
 		},
 	})
 	if err != nil {
@@ -132,19 +205,19 @@ func TestRunBackpressure(t *testing.T) {
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Rejected == 0 || res.RejectedFinal != res.Rejected {
-		t.Fatalf("rejected=%d final=%d, want >0 and equal (NoRetry429)", res.Rejected, res.RejectedFinal)
+	if res.Client == nil || res.Client.Retries == 0 || res.Client.RetryAfter == 0 {
+		t.Fatalf("client stats = %+v, want retries honoring Retry-After (the burst must have been refused)", res.Client)
 	}
-	if got := res.Accepted + res.RejectedFinal + res.Errors; got != res.Attempted {
-		t.Fatalf("submission accounting leaks: attempted=%d but accepted+rejectedFinal+errors=%d", res.Attempted, got)
+	if res.RejectedFinal != res.Rejected+res.Unavailable {
+		t.Fatalf("rejected=%d unavailable=%d final=%d, want final = rejected+unavailable", res.Rejected, res.Unavailable, res.RejectedFinal)
 	}
 }
 
-// TestRunResilientThroughFaults: with the retrying client underneath,
-// a run whose transport periodically resets connections and injects a
+// TestRunThroughFaults: with the retrying client underneath, a run
+// whose transport periodically resets connections and injects a
 // synthesized 503 still completes every job, byte-identically — the
 // chaos-mode contract in miniature.
-func TestRunResilientThroughFaults(t *testing.T) {
+func TestRunThroughFaults(t *testing.T) {
 	base := newTarget(t, server.Config{})
 	in := fault.NewInjector(fault.OS,
 		fault.Rule{Op: fault.OpRoundTrip, Every: 9, Err: syscall.ECONNRESET},
@@ -152,15 +225,13 @@ func TestRunResilientThroughFaults(t *testing.T) {
 	spec := baseSpec()
 	spec.DupEvery = 4 // duplicate IDs so VerifyBytes has re-observations
 	res, err := Run(context.Background(), Config{
-		BaseURL:          base,
-		Client:           &http.Client{Transport: &fault.Transport{Injector: in}},
-		Jobs:             60,
-		Concurrency:      12,
-		Resilient:        true,
-		ResilientBackoff: time.Millisecond,
-		VerifyTerminal:   true,
-		VerifyBytes:      true,
-		NewJob:           spec.Job,
+		BaseURL:        base,
+		Client:         &http.Client{Transport: &fault.Transport{Injector: in}},
+		Jobs:           60,
+		Concurrency:    12,
+		VerifyTerminal: true,
+		VerifyBytes:    true,
+		NewJob:         spec.Job,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ package loadgen
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"repro/internal/client"
@@ -23,7 +24,11 @@ type Result struct {
 	DurationMS  float64 `json:"duration_ms"`
 
 	// Submission accounting. Attempted = Accepted + RejectedFinal +
-	// Errors; Attempted + Unsent = Jobs.
+	// Errors; Attempted + Unsent = Jobs. Rejected and Unavailable count
+	// final refusals — submissions still answered 429 (queue full) or
+	// 503 (draining) after the client's retries were spent — and sum to
+	// RejectedFinal; the refusals the retries absorbed show in
+	// Client.Retries instead.
 	Attempted     int64 `json:"attempted"`
 	Unsent        int64 `json:"unsent,omitempty"`
 	Accepted      int64 `json:"accepted"`
@@ -45,20 +50,25 @@ type Result struct {
 	DoubleTerminal int64 `json:"double_terminal"`
 	ByteMismatch   int64 `json:"byte_mismatch"`
 
-	// Resubmits counts resilient-mode re-submissions after the server
-	// forgot a job ID (restart or retention ageout).
+	// Resubmits counts re-submissions after the server forgot a job ID
+	// (a status or stream 404: restart or retention ageout).
 	Resubmits int64 `json:"resubmits,omitempty"`
 
+	// Polls counts status lookups, the VerifyTerminal re-polls included;
+	// the Poll histogram times the same lookups.
 	Polls         int64   `json:"polls,omitempty"`
 	ThroughputJPS float64 `json:"throughput_jobs_per_sec"`
 
+	// Submit times each accepted submission's whole client.Submit call,
+	// retries and backoff waits included; Poll times each status lookup
+	// the same way; E2E runs from submit to the terminal observation.
 	Submit LatencySummary `json:"submit"`
 	Poll   LatencySummary `json:"poll"`
 	E2E    LatencySummary `json:"e2e"`
 
-	// Client carries the resilient client's own counters (attempts,
-	// retries, Retry-After honors) when the run was Resilient — the
-	// proof the resilience was exercised, not just configured.
+	// Client carries internal/client's own counters (attempts, retries,
+	// Retry-After honors) — the proof the resilience was exercised, not
+	// just configured. Always set by Run.
 	Client *client.Stats `json:"client,omitempty"`
 
 	// Violations lists failed SLO clauses (empty/omitted when the run
@@ -67,8 +77,9 @@ type Result struct {
 }
 
 // Verify checks the serving contract the run observed: every accepted
-// job reached exactly one terminal state. It returns nil when the
-// contract held and a single describing error otherwise.
+// job reached exactly one terminal state, and every submission is
+// accounted for exactly once. It returns nil when the contract held and
+// a single describing error otherwise.
 func (r *Result) Verify() error {
 	var probs []string
 	if r.Lost > 0 {
@@ -83,22 +94,16 @@ func (r *Result) Verify() error {
 	if got := r.Done + r.Expired + r.Aborted + r.Lost; got != r.Accepted {
 		probs = append(probs, fmt.Sprintf("terminal accounting mismatch: accepted %d but done+expired+aborted+lost = %d", r.Accepted, got))
 	}
+	if got := r.Accepted + r.RejectedFinal + r.Errors; got != r.Attempted {
+		probs = append(probs, fmt.Sprintf("submission accounting mismatch: attempted %d but accepted+rejected_final+errors = %d", r.Attempted, got))
+	}
+	if got := r.Attempted + r.Unsent; got != int64(r.Jobs) {
+		probs = append(probs, fmt.Sprintf("submission accounting mismatch: jobs %d but attempted+unsent = %d", r.Jobs, got))
+	}
 	if len(probs) == 0 {
 		return nil
 	}
-	return fmt.Errorf("loadgen: contract violated at c=%d: %s", r.Concurrency, join(probs))
-}
-
-// join is strings.Join without importing strings here for two words.
-func join(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "; "
-		}
-		out += s
-	}
-	return out
+	return fmt.Errorf("loadgen: contract violated at c=%d: %s", r.Concurrency, strings.Join(probs, "; "))
 }
 
 // SLO is the service-level objective a run is held to. Zero durations
@@ -111,7 +116,9 @@ type SLO struct {
 	PollP99 time.Duration `json:"poll_p99,omitempty"`
 	// E2EP99 bounds the 99th-percentile submit-to-done latency.
 	E2EP99 time.Duration `json:"e2e_p99,omitempty"`
-	// MaxErrorRate bounds Errors/Attempted.
+	// MaxErrorRate bounds (Errors+RejectedFinal)/Attempted: a
+	// submission the server still refused after the client's retries
+	// failed as surely as one that errored.
 	MaxErrorRate float64 `json:"max_error_rate,omitempty"`
 }
 
@@ -127,7 +134,7 @@ func (s *SLO) check(r *Result) []string {
 	clause("poll p99", r.Poll.P99MS, s.PollP99)
 	clause("e2e p99", r.E2E.P99MS, s.E2EP99)
 	if s.MaxErrorRate >= 0 && r.Attempted > 0 {
-		if rate := float64(r.Errors) / float64(r.Attempted); rate > s.MaxErrorRate {
+		if rate := float64(r.Errors+r.RejectedFinal) / float64(r.Attempted); rate > s.MaxErrorRate {
 			v = append(v, fmt.Sprintf("error rate %.4f exceeds SLO %.4f", rate, s.MaxErrorRate))
 		}
 	}

@@ -9,8 +9,8 @@
 #      still serving memory hits, then recover to "ok" on its own once
 #      the volume comes back and a half-open probe succeeds.
 #
-#   2. Crash: SIGKILL the daemon in the middle of a resilient battload
-#      run and restart it on the same port and cache directory. The
+#   2. Crash: SIGKILL the daemon in the middle of a battload run and
+#      restart it on the same port and cache directory. The
 #      retrying client (internal/client) must ride through the outage —
 #      resubmitting jobs the restarted daemon no longer knows — and the
 #      run must end with zero lost jobs, zero double-terminals and zero
@@ -117,14 +117,14 @@ echo "$metrics" | grep -q '"disk_breaker_state":"closed"' || {
 kill -TERM "$pid"; wait "$pid" || true; pid=""
 echo "leg 1 OK: tripped, served memory-only, recovered"
 
-echo "== leg 2: SIGKILL mid-run, restart, resilient client rides through"
+echo "== leg 2: SIGKILL mid-run, restart, retrying client rides through"
 rm -rf "$cachedir" && mkdir "$cachedir"
 start_daemon "$workdir/leg2a.log"
 
-# An open-loop resilient run long enough (~4s at 150/s) to be killed in
+# An open-loop run long enough (~4s at 150/s) to be killed in
 # the middle: -assert turns any lost job, double terminal or byte
 # divergence into the exit status.
-"$workdir/battload" -addr "$base" -resilient -n 600 -c 16 -rate 150 \
+"$workdir/battload" -addr "$base" -n 600 -c 16 -rate 150 \
   -slo-error-rate 0 -assert -o "$workdir/chaos_load.json" \
   >"$workdir/load.out" 2>&1 &
 loadpid=$!
@@ -135,7 +135,7 @@ start_daemon "$workdir/leg2b.log" "127.0.0.1:$port"
 grep -q 'warm start from' "$workdir/leg2b.log" || { echo "no warm start after crash"; exit 1; }
 
 if ! wait "$loadpid"; then
-  echo "resilient run failed across the crash:"; cat "$workdir/load.out"
+  echo "load run failed across the crash:"; cat "$workdir/load.out"
   exit 1
 fi
 loadpid=""

@@ -5,7 +5,11 @@
 #   - every relative link names a file or directory in the checkout;
 #   - every facade name the docs spell battsched.X (X exported) is a
 #     symbol the root package exports, as `go doc -c` resolves it — so
-#     a doc still calling a removed or renamed function fails here.
+#     a doc still calling a removed or renamed function fails here;
+#   - every -flag the docs pass to battload is one `battload -h` lists,
+#     so a doc still naming a removed flag fails here. A flag counts
+#     when it follows "battload" on the same line, or on a `\`
+#     continuation of it, up to the first `|` (a pipe's next command).
 #
 # Checked files: README.md, ARCHITECTURE.md, and everything under docs/.
 # External links (http/https) and pure in-page anchors (#...) are
@@ -49,8 +53,41 @@ for name in $names; do
   fi
 done
 
+# Every battload -flag the docs name must be one battload defines.
+bindir=$(mktemp -d)
+trap 'rm -rf "$bindir"' EXIT
+if ! go build -o "$bindir/battload" ./cmd/battload; then
+  echo "doccheck: cannot build cmd/battload"
+  fail=1
+fi
+known=$("$bindir/battload" -h 2>&1 | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p' | sort -u)
+used=$(awk '
+  cont || /battload/ {
+    s = $0
+    if (!cont) s = substr(s, index(s, "battload") + 8)
+    piped = index(s, "|")
+    if (piped) s = substr(s, 1, piped - 1)
+    cont = !piped && s ~ /\\[ \t]*$/
+    while (match(s, /(^|[ `(])-[a-z][a-z0-9-]*/)) {
+      tok = substr(s, RSTART, RLENGTH)
+      sub(/^[ `(]?-/, "", tok)
+      print FILENAME ":" tok
+      s = substr(s, RSTART + RLENGTH)
+    }
+    next
+  }
+  { cont = 0 }' "${files[@]}" | sort -u)
+flags=0
+for ref in $used; do
+  flags=$((flags + 1))
+  if ! grep -qx -- "${ref##*:}" <<<"$known"; then
+    echo "doccheck: ${ref%%:*} passes battload -${ref##*:}, which battload -h does not list"
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "doccheck: FAILED"
   exit 1
 fi
-echo "doccheck: all doc links and $(echo "$names" | wc -w) facade names resolve (${#files[@]} files checked)"
+echo "doccheck: all doc links, $(echo "$names" | wc -w) facade names and $flags battload flag uses resolve (${#files[@]} files checked)"

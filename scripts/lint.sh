@@ -5,8 +5,9 @@
 #   go vet ./...         the standard toolchain checks
 #   battlint ./...       the repo-specific invariant analyzers
 #                        (internal/analysis/...; see battlint -list)
-#   doccheck.sh          every relative markdown link resolves, and
-#                        every battsched.X the docs name is exported
+#   doccheck.sh          every relative markdown link resolves,
+#                        every battsched.X the docs name is exported,
+#                        and every battload -flag they name exists
 #
 # Run from anywhere; CI's lint job runs exactly this script, so a clean
 # local run means a green lint job. Exits non-zero after running ALL
