@@ -97,13 +97,13 @@ type Scheduler = core.Scheduler
 // resolution, matrices, candidate pruning, the initial sequence) and all
 // mutable run state — after a warm-up run the steady state performs zero
 // heap allocations (tracing off), whether the deadline changes or not.
-// Each result is bit-identical to Run(g, deadline, opt)'s. A Runner is a
-// single goroutine's arena: create one per goroutine, and copy a
-// returned Result before the next run overwrites it.
+// Each result is bit-identical to Run(ctx, g, deadline, opt)'s. A
+// Runner is a single goroutine's arena: create one per goroutine, and
+// copy a returned Result before the next run overwrites it.
 type Runner = core.Runner
 
 // NewRunner validates the graph and options once and returns a Runner
-// over them; call its Run(deadline) per deadline.
+// over them; call its Run(ctx, deadline) per deadline.
 func NewRunner(g *Graph, opt Options) (*Runner, error) {
 	base, err := core.NewBase(g, opt)
 	if err != nil {
@@ -251,15 +251,15 @@ type IdlePlan = core.IdlePlan
 type MultiStartOptions = core.MultiStartOptions
 
 // RunMultiStart runs the algorithm from its deterministic initial sequence
-// plus several seeded random topological orders and returns the best
-// result found (never worse than Run's). ctx is checked between restarts
-// and inside each restart's search.
+// and then from several seeded random topological orders, one after
+// another, and returns the best result found (never worse than Run's).
+// ctx is checked between restarts and inside each restart's search.
 func RunMultiStart(ctx context.Context, g *Graph, deadline float64, opt Options, ms MultiStartOptions) (*Result, error) {
 	s, err := core.New(g, deadline, opt)
 	if err != nil {
 		return nil, err
 	}
-	return core.RunMultiStartContext(ctx, s, ms)
+	return core.RunMultiStart(ctx, s, ms)
 }
 
 // BatchJob is one request of a batch: a graph, a deadline and a strategy
@@ -312,7 +312,7 @@ func RunCached(ctx context.Context, c *Cache, g *Graph, deadline float64, opt Op
 	if c == nil || opt.RecordTrace {
 		return Run(ctx, g, deadline, opt)
 	}
-	ce := cache.Engine{Cache: c, Workers: 1}
+	ce := cache.Engine{Cache: c}
 	res, _ := ce.RunContext(ctx, engine.Job{Graph: g, Deadline: deadline, Options: opt})
 	if res.Err != nil {
 		return nil, res.Err

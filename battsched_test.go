@@ -57,7 +57,7 @@ func TestFacadeRunner(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := r.Run(d)
+			res, err := r.Run(context.Background(), d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +191,7 @@ func TestFacadeRunBatch(t *testing.T) {
 	jobs := []battsched.BatchJob{
 		{Name: "iter", Graph: battsched.G3(), Deadline: battsched.G3Deadline},
 		{Name: "ms", Graph: battsched.G2(), Deadline: 75, Strategy: "multistart",
-			MultiStart: battsched.MultiStartOptions{Restarts: 4, Seed: 1, Workers: 4}},
+			MultiStart: battsched.MultiStartOptions{Restarts: 4, Seed: 1}},
 		{Name: "bad", Graph: battsched.G3(), Deadline: 1},
 	}
 	results := battsched.RunBatch(context.Background(), jobs, 0)

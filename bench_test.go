@@ -68,13 +68,13 @@ func BenchmarkTable3WindowSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := base.NewRunner()
-	if _, err := r.Run(taskgraph.G3Deadline); err != nil {
+	if _, err := r.Run(context.Background(), taskgraph.G3Deadline); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(taskgraph.G3Deadline); err != nil {
+		if _, err := r.Run(context.Background(), taskgraph.G3Deadline); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,7 +254,7 @@ func BenchmarkDeadlineSweep(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, d := range deadlines {
-				if _, err := r.Run(d); err != nil {
+				if _, err := r.Run(context.Background(), d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -387,7 +387,7 @@ func BenchmarkMultiStart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.RunMultiStart(s, core.MultiStartOptions{Seed: int64(i)}); err != nil {
+		if _, err := core.RunMultiStart(context.Background(), s, core.MultiStartOptions{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -402,27 +402,6 @@ func workerCounts(sizes ...int) []int {
 	return slices.Compact(ws)
 }
 
-// BenchmarkMultiStartParallel compares sequential multi-start against
-// the concurrent restart fan-out on G3 (results are bit-identical; this
-// measures the wall-clock effect — near-linear until restarts < cores).
-func BenchmarkMultiStartParallel(b *testing.B) {
-	g := taskgraph.G3()
-	for _, workers := range workerCounts(1, 2, 4) {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s, err := core.New(g, taskgraph.G3Deadline, core.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.RunMultiStart(s, core.MultiStartOptions{Restarts: 32, Seed: 1, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBatch pushes a 24-job batch (the six paper graph×deadline
 // cells under four strategies) through the engine at several pool sizes.
 func BenchmarkBatch(b *testing.B) {
@@ -430,11 +409,11 @@ func BenchmarkBatch(b *testing.B) {
 	for _, strategy := range []string{"iterative", "multistart", "withidle", "rv-dp"} {
 		for _, d := range taskgraph.G2Deadlines {
 			jobs = append(jobs, engine.Job{Graph: taskgraph.G2(), Deadline: d, Strategy: strategy,
-				MultiStart: core.MultiStartOptions{Restarts: 8, Seed: 1, Workers: 1}})
+				MultiStart: core.MultiStartOptions{Restarts: 8, Seed: 1}})
 		}
 		for _, d := range taskgraph.G3Deadlines {
 			jobs = append(jobs, engine.Job{Graph: taskgraph.G3(), Deadline: d, Strategy: strategy,
-				MultiStart: core.MultiStartOptions{Restarts: 8, Seed: 1, Workers: 1}})
+				MultiStart: core.MultiStartOptions{Restarts: 8, Seed: 1}})
 		}
 	}
 	for _, workers := range workerCounts(1, 4) {

@@ -135,27 +135,23 @@ type Stats struct {
 // New returns an empty cache bounded at maxEntries results (0 means
 // DefaultMaxEntries).
 func New(maxEntries int) *Cache {
-	return NewWithStore(maxEntries, nil)
+	return NewTiered(maxEntries, nil, BreakerConfig{})
 }
 
-// NewWithStore is New with a disk tier layered under the LRU: memory
+// NewTiered is New with a disk tier layered under the LRU: memory
 // misses consult disk before computing (promoting hits into memory),
 // and computed results are written through, so the cache's contents
 // survive a restart of the process that owns disk's directory. A nil
 // disk is exactly New. The disk tier is strictly best-effort — every
 // disk failure degrades to a miss or a skipped write (counted in
-// Stats.DiskErrors), never an error or a wrong result. The default
-// circuit breaker (see BreakerConfig) guards the tier; use NewTiered to
-// tune or disable it.
-func NewWithStore(maxEntries int, disk *store.Store) *Cache {
-	return NewTiered(maxEntries, disk, BreakerConfig{})
-}
-
-// NewTiered is NewWithStore with explicit circuit-breaker tuning: when
-// the disk tier returns bc.Threshold errors within bc.Window, the
-// breaker opens and the cache serves memory-only (disk reads bypassed,
-// writes skipped — both counted in Stats.DiskSkipped) until a half-open
-// probe after bc.Probe succeeds. bc.Threshold < 0 disables the breaker.
+// Stats.DiskErrors), never an error or a wrong result.
+//
+// bc tunes the tier's circuit breaker (the zero value takes the
+// defaults): when the disk tier returns bc.Threshold errors within
+// bc.Window, the breaker opens and the cache serves memory-only (disk
+// reads bypassed, writes skipped — both counted in Stats.DiskSkipped)
+// until a half-open probe after bc.Probe succeeds. bc.Threshold < 0
+// disables the breaker.
 func NewTiered(maxEntries int, disk *store.Store, bc BreakerConfig) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
@@ -247,10 +243,9 @@ func (c *Cache) DoContext(ctx context.Context, key string, compute func() engine
 
 		c.misses.Add(1)
 		res := compute()
-		// Strip the per-request identity so the stored canon serves any
-		// later request regardless of its position or name; front ends
-		// re-attach both (see Engine.RunContext).
-		res.Index, res.Name = 0, ""
+		// Strip the per-request name so the stored canon serves any
+		// later request; front ends re-attach it (see Engine.RunContext).
+		res.Name = ""
 
 		c.mu.Lock()
 		delete(c.flights, key)

@@ -18,32 +18,28 @@ import (
 type Engine struct {
 	// Cache holds the results; nil disables caching.
 	Cache *Cache
-	// Workers bounds concurrent jobs; 0 means GOMAXPROCS(0).
+	// Workers bounds RunBatchContext's concurrent jobs; 0 means
+	// GOMAXPROCS(0).
 	Workers int
 	// Gate, when non-nil, globally bounds concurrent scheduling work
 	// across every RunContext/RunBatchContext call sharing it — cache
-	// hits bypass it. A server handling many requests, each with its
-	// own worker pool, uses one shared Gate so total scheduling concurrency stays near
-	// the gate's capacity instead of requests × Workers. A gated
-	// computation also sizes its multistart restart fan-out by the idle
-	// gate capacity it can claim (overriding Job.MultiStart.Workers,
-	// which is result-neutral), so the bound holds through the restart
-	// level too.
+	// hits bypass it. Every computation holds exactly one slot while it
+	// runs, so a server handling many requests, each with its own worker
+	// pool, runs at most cap(Gate) computations at once instead of
+	// requests × Workers.
 	Gate chan struct{}
 }
 
 // RunContext executes one job through the cache and reports whether it
 // was served without computing (stored hit or single-flight dedup). The
-// result carries the job's Name and Index 0. A done ctx stops the
-// computation at its next cooperative check (or skips it entirely,
-// including the wait for a Gate slot) and yields an engine.ErrCanceled
-// result. Cache hits still answer instantly — serving stored bytes
-// costs nothing worth canceling.
+// result carries the job's Name. A done ctx stops the computation at its
+// next cooperative check (or skips it entirely, including the wait for
+// a Gate slot) and yields an engine.ErrCanceled result. Cache hits
+// still answer instantly — serving stored bytes costs nothing worth
+// canceling.
 func (e *Engine) RunContext(ctx context.Context, job engine.Job) (engine.Result, bool) {
-	// A lone job may fan its multistart restarts over the whole pool,
-	// as engine.RunEach grants a one-job batch.
-	res, hit := e.run(ctx, job, engine.Bound(e.Workers))
-	res.Index, res.Name = 0, job.Name
+	res, hit := e.run(ctx, job)
+	res.Name = job.Name
 	return res, hit
 }
 
@@ -59,13 +55,13 @@ func (e *Engine) RunContext(ctx context.Context, job engine.Job) (engine.Result,
 func (e *Engine) RunBatchContext(ctx context.Context, jobs []engine.Job) ([]engine.Result, []bool) {
 	results := make([]engine.Result, len(jobs))
 	hits := make([]bool, len(jobs))
-	dispatched := engine.RunEach(ctx, len(jobs), e.Workers, func(i, restartWorkers int) {
-		res, hit := e.run(ctx, jobs[i], restartWorkers)
-		res.Index, res.Name = i, jobs[i].Name
+	dispatched := engine.RunEach(ctx, len(jobs), e.Workers, func(i int) {
+		res, hit := e.run(ctx, jobs[i])
+		res.Name = jobs[i].Name
 		results[i], hits[i] = res, hit
 	})
 	for i := dispatched; i < len(jobs); i++ {
-		results[i] = engine.Result{Index: i, Name: jobs[i].Name, Err: engine.CanceledError(ctx.Err())}
+		results[i] = engine.Result{Name: jobs[i].Name, Err: engine.CanceledError(ctx.Err())}
 	}
 	return results, hits
 }
@@ -79,7 +75,7 @@ func (e *Engine) RunBatchContext(ctx context.Context, jobs []engine.Job) ([]engi
 // budget-free leader's computation; without this wrapping it would wait
 // on that flight bounded only by the request context, ignoring its own
 // timeout_ms contract.
-func (e *Engine) run(ctx context.Context, job engine.Job, restartWorkers int) (engine.Result, bool) {
+func (e *Engine) run(ctx context.Context, job engine.Job) (engine.Result, bool) {
 	if job.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, job.Timeout)
@@ -89,61 +85,30 @@ func (e *Engine) run(ctx context.Context, job engine.Job, restartWorkers int) (e
 		job.Timeout = 0
 	}
 	if e.Cache == nil {
-		return e.compute(ctx, job, restartWorkers), false
+		return e.compute(ctx, job), false
 	}
 	key, ok := Key(job)
 	if !ok {
 		e.Cache.bypasses.Add(1)
-		return e.compute(ctx, job, restartWorkers), false
+		return e.compute(ctx, job), false
 	}
 	return e.Cache.DoContext(ctx, key, func() engine.Result {
-		return e.compute(ctx, job, restartWorkers)
+		return e.compute(ctx, job)
 	})
 }
 
-// compute runs the job on the uncached engine (engine.Run).
-//
-// Under a Gate, the computation blocks for one slot and then widens its
-// restart fan-out only with whatever idle capacity it can claim without
-// waiting — so a lone request on an idle server still fans out fully,
-// while concurrent requests each hold ~one slot and run their restarts
-// sequentially. Total scheduling goroutines stay at ~cap(Gate) instead
-// of requests × restartWorkers; since restart fan-out is result-neutral
-// (bit-identical for any Workers), clamping it here changes wall-clock
-// only. A request canceled while queued for its slot gives up with an
+// compute runs the job on the uncached engine (engine.Run), holding one
+// Gate slot for the whole computation when a Gate is set. A request
+// canceled while queued for its slot gives up with an
 // engine.ErrCanceled result instead of holding its place in line.
-func (e *Engine) compute(ctx context.Context, job engine.Job, restartWorkers int) engine.Result {
+func (e *Engine) compute(ctx context.Context, job engine.Job) engine.Result {
 	if e.Gate != nil {
 		select {
 		case e.Gate <- struct{}{}:
 		case <-ctx.Done():
 			return engine.Result{Err: engine.CanceledError(ctx.Err())}
 		}
-		held := 1
-		// Only a multistart job can use extra slots (every other
-		// strategy runs one goroutine), so only it widens — a greedy
-		// claim here would serialize concurrent cheap requests behind
-		// one holder of the whole gate.
-		if s, err := engine.CanonicalStrategy(job.Strategy); err == nil && s == engine.StrategyMultiStart {
-			for held < restartWorkers {
-				gotSlot := false
-				select {
-				case e.Gate <- struct{}{}:
-					gotSlot = true
-				default:
-				}
-				if !gotSlot {
-					break
-				}
-				held++
-			}
-			job.MultiStart.Workers = held
-		}
-		defer func() {
-			for i := 0; i < held; i++ {
-				<-e.Gate
-			}
-		}()
+		defer func() { <-e.Gate }()
 	}
-	return engine.Run(ctx, job, restartWorkers)
+	return engine.Run(ctx, job)
 }

@@ -41,13 +41,12 @@ const keyVersion = "battsched-cache-v3"
 // the same spec.
 //
 // Deliberately excluded because they are result-neutral: Job.Name (a
-// label), MultiStart.Workers (documented bit-identical to the
-// sequential restart loop), Options.RecordTrace (the
-// trace never reaches an engine.Result), MultiStart for non-multistart
-// strategies, and Job.Timeout (a completed result is identical under
-// any timeout, and a computation the timeout aborts is never stored —
-// see Cache.DoContext). Excluding them means a request answers from
-// cache however the caller tuned its concurrency or deadline budget.
+// label), Options.RecordTrace (the trace never reaches an
+// engine.Result), MultiStart for non-multistart strategies, and
+// Job.Timeout (a completed result is identical under any timeout, and a
+// computation the timeout aborts is never stored — see
+// Cache.DoContext). Excluding them means a request answers from cache
+// however the caller tuned its deadline budget.
 //
 // Not cacheable (ok = false): a nil graph, an unknown strategy or an
 // invalid battery spec (the engine's per-job error is cheaper than
@@ -63,7 +62,7 @@ const keyVersion = "battsched-cache-v3"
 //
 //battlint:canonical engine.Job -Name -Timeout
 //battlint:canonical core.Options -Battery -RecordTrace
-//battlint:canonical core.MultiStartOptions -Workers
+//battlint:canonical core.MultiStartOptions
 func Key(job engine.Job) (key string, ok bool) {
 	if job.Graph == nil {
 		return "", false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/taskgraph"
@@ -27,13 +28,13 @@ func TestRunnerSteadyStateZeroAlloc(t *testing.T) {
 	} {
 		r := mustRunner(t, c.graph, Options{})
 		for _, d := range []float64{c.d1, c.d2} {
-			if _, err := r.Run(d); err != nil {
+			if _, err := r.Run(context.Background(), d); err != nil {
 				t.Fatalf("%s: warm-up at %g: %v", c.name, d, err)
 			}
 		}
 		allocs := testing.AllocsPerRun(50, func() {
 			for _, d := range []float64{c.d1, c.d2} {
-				if _, err := r.Run(d); err != nil {
+				if _, err := r.Run(context.Background(), d); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -207,12 +207,12 @@ func TestEquivalenceRunner(t *testing.T) {
 		}
 		r := mustRunner(t, c.graph, Options{})
 		for pass := 1; pass <= 3; pass++ {
-			got, err := r.Run(c.d)
+			got, err := r.Run(context.Background(), c.d)
 			if err != nil {
 				t.Fatalf("%s: Runner pass %d: %v", c.name, pass, err)
 			}
 			requireSameResult(t, fmt.Sprintf("%s/pass=%d", c.name, pass), ref, got)
-			if _, err := r.Run(c.graph.MaxTotalTime()); err != nil {
+			if _, err := r.Run(context.Background(), c.graph.MaxTotalTime()); err != nil {
 				t.Fatalf("%s: Runner at the loose deadline: %v", c.name, err)
 			}
 		}

@@ -20,7 +20,7 @@ import (
 // Results are bit-identical to New(graph, deadline, opt) followed by
 // Run, for every deadline (see TestRunnerMatchesNew).
 //
-// The Result returned by Run/RunContext is owned by the Runner and
+// The Result returned by Run is owned by the Runner and
 // overwritten by the next call; callers that need to keep one must copy
 // it (Result.Schedule.Clone for the schedule). A Runner is not safe for
 // concurrent use — it is exactly one worker's arena. Mint one per
@@ -41,14 +41,9 @@ func (b *SchedulerBase) NewRunner() *Runner {
 }
 
 // Run executes the iterative algorithm for one deadline, reusing the
-// Runner's storage.
-func (r *Runner) Run(deadline float64) (*Result, error) {
-	return r.RunContext(context.Background(), deadline)
-}
-
-// RunContext is Run with cooperative cancellation (see
+// Runner's storage. ctx cancels the search cooperatively (see
 // Scheduler.RunContext for the semantics).
-func (r *Runner) RunContext(ctx context.Context, deadline float64) (*Result, error) {
+func (r *Runner) Run(ctx context.Context, deadline float64) (*Result, error) {
 	if err := r.base.mint(&r.s, deadline); err != nil {
 		return nil, err
 	}

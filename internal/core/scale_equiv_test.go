@@ -246,7 +246,7 @@ func TestSweepRunnerMatchesNew(t *testing.T) {
 					name string
 					run  func() (*Result, error)
 				}{
-					{"Runner", func() (*Result, error) { return r.Run(d) }},
+					{"Runner", func() (*Result, error) { return r.Run(context.Background(), d) }},
 					{"base.Scheduler", func() (*Result, error) {
 						s, err := b.Scheduler(d)
 						if err != nil {
@@ -315,7 +315,7 @@ func TestRunnerMatchesNew(t *testing.T) {
 				}()
 				for pass := 1; pass <= 3; pass++ {
 					passLabel := fmt.Sprintf("%s/pass=%d", label, pass)
-					got, gotErr := r.Run(d)
+					got, gotErr := r.Run(context.Background(), d)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("%s: error mismatch: New+Run %v, Runner %v", passLabel, wantErr, gotErr)
 					}

@@ -41,12 +41,11 @@ type Result struct {
 
 // Scheduler runs the paper's algorithm for one task graph and deadline.
 // Create it with New. All Scheduler state is immutable after New, so a
-// Scheduler is safe for repeated and for concurrent Run calls (the
-// restart fan-out of RunMultiStart relies on this) — provided the
-// battery model is safe for concurrent ChargeLost calls, which every
-// model in internal/battery is (they are stateless values). Every run
-// carries its own scratch arena (see runScratch), so concurrent runs
-// never share mutable state.
+// Scheduler is safe for repeated and for concurrent Run calls —
+// provided the battery model is safe for concurrent ChargeLost calls,
+// which every model in internal/battery is (they are stateless values).
+// Every run carries its own scratch arena (see runScratch), so
+// concurrent runs never share mutable state.
 type Scheduler struct {
 	g        *taskgraph.Graph
 	deadline float64
@@ -166,7 +165,7 @@ func NewBase(g *taskgraph.Graph, opt Options) (*SchedulerBase, error) {
 // seam for models no battery.Spec describes; such a base has no
 // canonical identity, so nothing that caches or serves results uses it
 // — only tests do. The model must tolerate concurrent ChargeLost calls
-// if the base's schedulers run concurrently (multistart workers).
+// if the base's schedulers run concurrently.
 func NewBaseWithModel(g *taskgraph.Graph, model battery.Model, opt Options) (*SchedulerBase, error) {
 	if g == nil {
 		return nil, errors.New("core: nil graph")

@@ -5,8 +5,8 @@ import (
 )
 
 // runScratch is the per-run arena behind the scheduler's hot path. One is
-// created per RunContext / runFromContext call (so one per restart in the
-// multi-start fan-out) and one per Runner, so a Scheduler stays immutable
+// created per RunContext / runFromContext call (so one per multi-start
+// restart) and one per Runner, so a Scheduler stays immutable
 // and safe for concurrent runs while the inner loops never allocate.
 //
 // The buffers fall into four groups, mirroring the call tree:

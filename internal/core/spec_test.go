@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -125,13 +126,13 @@ func TestRunnerSteadyStateZeroAllocWithSpec(t *testing.T) {
 	r := mustRunner(t, taskgraph.G3(), Options{Battery: &spec})
 	deadlines := []float64{taskgraph.G3Deadline, 150}
 	for _, d := range deadlines {
-		if _, err := r.Run(d); err != nil {
+		if _, err := r.Run(context.Background(), d); err != nil {
 			t.Fatalf("warm-up at %g: %v", d, err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, d := range deadlines {
-			if _, err := r.Run(d); err != nil {
+			if _, err := r.Run(context.Background(), d); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -107,8 +107,8 @@ func TestRunBatchContextCancelMidBatch(t *testing.T) {
 		t.Fatalf("completed job differs from uncancelled run:\nwant %+v\ngot  %+v", want, results[0])
 	}
 
-	// (c) and (d): everything else is ErrCanceled, with index and name
-	// preserved so wire.Results can still line the batch up.
+	// (c) and (d): everything else is ErrCanceled in its own slot, with
+	// its name preserved.
 	for i := 1; i < len(results); i++ {
 		if !errors.Is(results[i].Err, ErrCanceled) || !errors.Is(results[i].Err, context.Canceled) {
 			t.Fatalf("job %d err = %v, want ErrCanceled wrapping context.Canceled", i, results[i].Err)
@@ -116,7 +116,7 @@ func TestRunBatchContextCancelMidBatch(t *testing.T) {
 		if results[i].Schedule != nil {
 			t.Fatalf("job %d carries a schedule despite cancellation", i)
 		}
-		if results[i].Index != i || results[i].Name != jobs[i].Name {
+		if results[i].Name != jobs[i].Name {
 			t.Fatalf("job %d lost its identity: %+v", i, results[i])
 		}
 	}

@@ -15,9 +15,9 @@ func encodeBatch(t *testing.T, results []Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for _, r := range results {
+	for i, r := range results {
 		line := map[string]any{
-			"index":    r.Index,
+			"index":    i,
 			"name":     r.Name,
 			"strategy": r.Strategy,
 		}
@@ -38,9 +38,8 @@ func encodeBatch(t *testing.T, results []Result) []byte {
 }
 
 // TestBatchDeterministic: the same batch must serialize byte-identically
-// across repeated runs and across worker counts — including multi-start
-// jobs whose restarts run concurrently. Run under -race this also proves
-// the shared-Scheduler fan-out is race-free.
+// across repeated runs and across worker counts, multi-start jobs
+// included. Run under -race this also proves the pool is race-free.
 func TestBatchDeterministic(t *testing.T) {
 	var jobs []Job
 	for _, strategy := range []string{StrategyIterative, StrategyMultiStart, StrategyWithIdle, StrategyRVDP} {

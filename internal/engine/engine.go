@@ -7,14 +7,12 @@
 // Jobs are independent, so RunBatch fans them out over a bounded pool
 // of goroutines (RunEach) and runs each through Run; results come back
 // in input order with per-job errors — one malformed or infeasible job
-// never fails the batch. Inside a multi-start job the restarts
-// themselves run concurrently (see core.MultiStartOptions.Workers);
-// when a job leaves that fan-out unset the engine splits its worker
-// bound between the two levels, so total concurrency stays near the
-// bound for any batch shape. Workers share nothing mutable: every run
-// in core carries its own scratch arena (see internal/core's
-// runScratch), so per-job results are bit-identical for every pool
-// size.
+// never fails the batch. The pool is the only level of concurrency:
+// each job, a multi-start search included, runs on the one goroutine
+// that picked it up, so a pool of n workers runs at most n searches.
+// Workers share nothing mutable: every run in core carries its own
+// scratch arena (see internal/core's runScratch), so per-job results
+// are bit-identical for every pool size.
 //
 //battlint:deterministic
 package engine
@@ -47,11 +45,7 @@ type Job struct {
 	// the paper's configuration) and supplies the battery model used
 	// to cost baseline schedules.
 	Options core.Options
-	// MultiStart configures StrategyMultiStart. A zero Workers shares
-	// the pool's bound with the job level (a lone job fans its
-	// restarts over the whole pool; a full batch keeps them
-	// sequential), so total concurrency never exceeds roughly the
-	// pool bound.
+	// MultiStart configures StrategyMultiStart.
 	MultiStart core.MultiStartOptions
 	// Timeout bounds this job's computation once it starts (0 = none).
 	// A job that exceeds it fails with ErrCanceled; jobs that finish in
@@ -62,8 +56,6 @@ type Job struct {
 
 // Result is the outcome of one Job. Exactly one of Schedule/Err is nil.
 type Result struct {
-	// Index is the job's position in the input batch.
-	Index int
 	// Name echoes Job.Name.
 	Name string
 	// Strategy is the canonical strategy name that ran.
@@ -140,36 +132,27 @@ func RunBatch(jobs []Job, workers int) []Result {
 // changes what finished, only how much finishes.
 func RunBatchContext(ctx context.Context, jobs []Job, workers int) []Result {
 	results := make([]Result, len(jobs))
-	dispatched := RunEach(ctx, len(jobs), workers, func(i, restartWorkers int) {
-		results[i] = Run(ctx, jobs[i], restartWorkers)
-		results[i].Index = i
+	dispatched := RunEach(ctx, len(jobs), workers, func(i int) {
+		results[i] = Run(ctx, jobs[i])
 	})
 	for i := dispatched; i < len(jobs); i++ {
-		results[i] = Result{Index: i, Name: jobs[i].Name, Err: CanceledError(ctx.Err())}
+		results[i] = Result{Name: jobs[i].Name, Err: CanceledError(ctx.Err())}
 	}
 	return results
 }
 
-// RunEach runs fn(i, restartWorkers) for every i in [0, n) over a pool
-// bounded by Bound(workers). It owns the pool arithmetic every batch
-// runner must agree on — exported so the cached engine (internal/cache)
-// shares it instead of copying it:
-//
-// Multistart jobs that did not pin their own restart fan-out share the
-// bound with the job level — restartWorkers is bound/workers, so a lone
-// job gets the whole pool for its restarts while a full batch keeps
-// restarts sequential, and total concurrency stays ~bound instead of
-// bound².
+// RunEach runs fn(i) for every i in [0, n) over a pool of at most
+// Bound(workers) goroutines — the one pool every batch runner uses,
+// exported so the cached engine (internal/cache) shares it instead of
+// copying it.
 //
 // Once ctx is done the dispatcher stops handing out indices. RunEach
 // returns how many it dispatched: every i below that ran fn to
 // completion (fn observes the same ctx and is expected to cut its own
 // work short), and fn never started for the rest — the caller decides
 // what an undispatched slot means.
-func RunEach(ctx context.Context, n, workers int, fn func(i, restartWorkers int)) int {
-	bound := Bound(workers)
-	pool := max(min(bound, n), 1)
-	restartWorkers := max(bound/pool, 1)
+func RunEach(ctx context.Context, n, workers int, fn func(i int)) int {
+	pool := max(min(Bound(workers), n), 1)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < pool; w++ {
@@ -177,7 +160,7 @@ func RunEach(ctx context.Context, n, workers int, fn func(i, restartWorkers int)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				fn(i, restartWorkers)
+				fn(i)
 			}
 		}()
 	}
@@ -196,13 +179,11 @@ dispatch:
 	return dispatched
 }
 
-// Run executes one job and returns its Result (Index 0, Name echoed).
-// restartWorkers is the restart fan-out for a multistart job that did
-// not pin MultiStart.Workers. Panics become per-job errors, so a
-// misbehaving custom battery model cannot take a batch down, and
-// context errors become ErrCanceled, so front ends report cancellation
-// distinctly from scheduling failures.
-func Run(ctx context.Context, job Job, restartWorkers int) (res Result) {
+// Run executes one job and returns its Result (Name echoed). Panics
+// become per-job errors, so a misbehaving custom battery model cannot
+// take a batch down, and context errors become ErrCanceled, so front
+// ends report cancellation distinctly from scheduling failures.
+func Run(ctx context.Context, job Job) (res Result) {
 	res = Result{Name: job.Name}
 	defer func() {
 		if r := recover(); r != nil {
@@ -230,7 +211,7 @@ func Run(ctx context.Context, job Job, restartWorkers int) (res Result) {
 		res.Err = ErrNilGraph
 		return res
 	}
-	res.Err = execute(ctx, strategy, job, &res, restartWorkers)
+	res.Err = execute(ctx, strategy, job, &res)
 	if res.Err != nil {
 		if isContextErr(res.Err) {
 			res.Err = CanceledError(res.Err)

@@ -46,7 +46,7 @@ func TestRunBatchMatchesDirectRuns(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("workers=%d job %d: %v", workers, i, r.Err)
 			}
-			if r.Index != i || r.Name != jobs[i].Name || r.Strategy != StrategyIterative {
+			if r.Name != jobs[i].Name || r.Strategy != StrategyIterative {
 				t.Fatalf("workers=%d job %d: bad echo %+v", workers, i, r)
 			}
 			if r.Cost != want[i].Cost || r.Duration != want[i].Duration || r.Iterations != want[i].Iterations {

@@ -77,13 +77,12 @@ func CanonicalStrategy(name string) (string, error) {
 // hand-written battery model through core.NewBaseWithModel.
 var newBase = core.NewBase
 
-// execute runs the canonical strategy for a job, filling res.
-// restartWorkers is the default fan-out for multistart jobs that did
-// not pin MultiStart.Workers themselves. ctx cancels the iterative
-// strategies mid-search; the closed-form baselines run to completion
-// (they are polynomial passes, orders of magnitude below one iterative
-// window sweep) after an up-front ctx check.
-func execute(ctx context.Context, strategy string, job Job, res *Result, restartWorkers int) error {
+// execute runs the canonical strategy for a job, filling res. ctx
+// cancels the iterative strategies mid-search; the closed-form
+// baselines run to completion (they are polynomial passes, orders of
+// magnitude below one iterative window sweep) after an up-front ctx
+// check.
+func execute(ctx context.Context, strategy string, job Job, res *Result) error {
 	switch strategy {
 	case StrategyIterative, StrategyMultiStart, StrategyWithIdle:
 		base, err := newBase(job.Graph, job.Options)
@@ -99,11 +98,7 @@ func execute(ctx context.Context, strategy string, job Job, res *Result, restart
 		case StrategyIterative:
 			r, err = s.RunContext(ctx)
 		case StrategyMultiStart:
-			ms := job.MultiStart
-			if ms.Workers == 0 {
-				ms.Workers = restartWorkers
-			}
-			r, err = core.RunMultiStartContext(ctx, s, ms)
+			r, err = core.RunMultiStart(ctx, s, job.MultiStart)
 		case StrategyWithIdle:
 			r, err = s.RunContext(ctx)
 			if err == nil {

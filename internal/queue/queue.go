@@ -543,8 +543,8 @@ func (q *Queue) worker() {
 		res := t.run(ctx)
 		t.cancel(nil) // release the context's resources
 		// The stored canon is request-neutral, like the cache's: every
-		// waiter re-attaches its own index and name.
-		res.Index, res.Name = 0, ""
+		// waiter re-attaches its own name.
+		res.Name = ""
 
 		q.mu.Lock()
 		q.running--

@@ -199,17 +199,21 @@ func (s *Server) handleJobAbort(w http.ResponseWriter, r *http.Request) {
 // line (NDJSON by default, SSE on Accept: text/event-stream). A done
 // job's body is byte-identical to the sync POST /v1/schedule response
 // for the same (unnamed) job.
+//
+// The job is looked up once: the wait holds the job the lookup found,
+// so a concurrent submission that prunes or replaces the ID in between
+// cannot turn the 200 into an empty body.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobsAPI.Add(1)
-	id := r.PathValue("id")
-	if _, ok := s.jobs.Get(id); !ok {
+	snap, ok := s.jobs.Get(r.PathValue("id"))
+	if !ok {
 		s.writeError(w, http.StatusNotFound, errors.New("server: unknown job id (never submitted, or aged out of retention)"))
 		return
 	}
 	emit := newStreamWriter(w, r)
-	snap, ok, err := s.jobs.Wait(r.Context(), id)
-	if err != nil || !ok {
-		return // client gave up (or the job aged out mid-wait); nothing to salvage
+	snap, err := s.jobs.Await(r.Context(), snap)
+	if err != nil {
+		return // client gave up; nothing to salvage
 	}
 	emit(terminalResult(snap, 0, ""))
 }

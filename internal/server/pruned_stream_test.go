@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -179,5 +180,70 @@ func TestUnorderedStreamKeepsPrunedJobs(t *testing.T) {
 				t.Fatalf("rep %d: line %d differs from /v1/batch:\nstream: %s\nsync:   %s", rep, r.Index, line, want[r.Index])
 			}
 		}
+	}
+}
+
+// TestStreamDoneJobRacingSubmit: GET /v1/jobs/{id}/stream on a done job
+// while other submissions prune it (negative retention drops terminal
+// jobs on every Submit). The handler used to look the ID up a second
+// time before waiting, so a prune in between answered 200 with an empty
+// body. A stream may now 404 (pruned before its lookup), but every 200
+// carries exactly the job's one line, byte-identical to /v1/schedule.
+func TestStreamDoneJobRacingSubmit(t *testing.T) {
+	_, ts := newJobsServer(t, Config{Workers: 2, JobRetention: -time.Nanosecond})
+	const job = `{"fixture":"g3","deadline":230}`
+	resp, want := post(t, ts.URL+"/v1/schedule", job)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync schedule status %d: %s", resp.StatusCode, want)
+	}
+	// The pruning submissions are cache hits too, so each rep is fast.
+	const pruners = 4
+	var others [pruners]string
+	for i := range others {
+		others[i] = fmt.Sprintf(`{"fixture":"g3","deadline":%d}`, 231+i)
+		if resp, data := post(t, ts.URL+"/v1/schedule", others[i]); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warming %s: status %d: %s", others[i], resp.StatusCode, data)
+		}
+	}
+
+	streamed := 0
+	for rep := 0; rep < 1000; rep++ {
+		st, _ := submitJob(t, ts.URL, job)
+		pollUntil(t, ts.URL, st.ID, terminal)
+
+		var wg sync.WaitGroup
+		for _, other := range others {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(other)); err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}()
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("rep %d: reading stream: %v", rep, err)
+		}
+		switch resp.StatusCode {
+		case http.StatusNotFound:
+		case http.StatusOK:
+			streamed++
+			if !bytes.Equal(body, want) {
+				t.Fatalf("rep %d: stream body differs from /v1/schedule:\nstream: %q\nsync:   %q", rep, body, want)
+			}
+		default:
+			t.Fatalf("rep %d: stream status %d: %s", rep, resp.StatusCode, body)
+		}
+	}
+	if streamed == 0 {
+		t.Fatal("every stream 404ed; the race was never exercised")
 	}
 }

@@ -78,7 +78,7 @@ type Config struct {
 	// MaxBatchJobs caps the job lines one /v1/batch, /v1/jobs/batch or
 	// /v1/jobs/stream request may carry, bounding the work a single
 	// request can pin the host with (the same threat the wire restart
-	// caps close); lines are counted before any is decoded. 0 means
+	// cap closes); lines are counted before any is decoded. 0 means
 	// 10000.
 	MaxBatchJobs int
 	// RequestTimeout bounds the scheduling work of one request (the
@@ -210,19 +210,15 @@ func New(cfg Config) *Server {
 	if cfg.CacheEntries >= 0 {
 		s.cache = cache.NewTiered(cfg.CacheEntries, cfg.CacheStore, cfg.DiskBreaker)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// One computation gate shared by every request: per-request pools
 	// give a lone batch full parallelism, while the gate keeps total
-	// scheduling concurrency at `workers` instead of
+	// scheduling concurrency at the worker bound instead of
 	// MaxInFlight × workers when many requests land at once (cache
 	// hits bypass it).
 	s.engine = cache.Engine{
 		Cache:   s.cache,
 		Workers: cfg.Workers,
-		Gate:    make(chan struct{}, workers),
+		Gate:    make(chan struct{}, engine.Bound(cfg.Workers)),
 	}
 	s.jobs = queue.New(queue.Config{
 		MaxQueued:  cfg.MaxQueued,

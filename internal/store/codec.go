@@ -48,12 +48,12 @@ func corruptf(format string, args ...any) error {
 
 // encodeEntry serializes a canonical (request-neutral) result into a
 // complete entry: header plus versioned payload. The payload writes
-// every result-affecting field of engine.Result; Index and Name are
-// excluded because stored results are request-neutral (the cache strips
-// them before storing, and every front end re-attaches its own — see
+// every result-affecting field of engine.Result; Name is excluded
+// because stored results are request-neutral (the cache strips it
+// before storing, and every front end re-attaches its own — see
 // cache.Cache.DoContext).
 //
-//battlint:canonical engine.Result -Index -Name
+//battlint:canonical engine.Result -Name
 func encodeEntry(res engine.Result) []byte {
 	payload := make([]byte, 0, 256)
 	payload = appendString(payload, res.Strategy)

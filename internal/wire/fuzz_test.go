@@ -102,8 +102,7 @@ func FuzzDecodeJobs(f *testing.F) {
 			if !finite(j.Deadline) || j.Deadline <= 0 {
 				t.Fatalf("line %d: clean decode with deadline %g", i, j.Deadline)
 			}
-			if j.MultiStart.Restarts < 0 || j.MultiStart.Restarts > MaxRestarts ||
-				j.MultiStart.Workers < 0 || j.MultiStart.Workers > MaxRestartWorkers {
+			if j.MultiStart.Restarts < 0 || j.MultiStart.Restarts > MaxRestarts {
 				t.Fatalf("line %d: multistart knobs out of bounds: %+v", i, j.MultiStart)
 			}
 			if j.Timeout < 0 {

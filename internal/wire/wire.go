@@ -71,11 +71,9 @@ type Job struct {
 	// results, so it is part of the cache key: approximate and exact
 	// runs of the same job never share an entry.
 	Approx float64 `json:"approx,omitempty"`
-	// Restarts/Seed/RestartWorkers configure the multistart strategy;
-	// RestartWorkers 0 inherits the runner's worker bound.
-	Restarts       int   `json:"restarts,omitempty"`
-	Seed           int64 `json:"seed,omitempty"`
-	RestartWorkers int   `json:"restart_workers,omitempty"`
+	// Restarts/Seed configure the multistart strategy.
+	Restarts int   `json:"restarts,omitempty"`
+	Seed     int64 `json:"seed,omitempty"`
 	// TimeoutMS bounds this job's computation in milliseconds once it
 	// starts (0 = unbounded). A job that exceeds it fails with the
 	// "canceled" result code; jobs that finish in time are unaffected,
@@ -227,15 +225,11 @@ const (
 	ReadyDisabled = "disabled"
 )
 
-// MaxRestarts and MaxRestartWorkers bound the multistart knobs a wire
-// job may request. Every restart runs the full algorithm and the worker
-// count sizes real allocations, so without a ceiling one small request
-// could pin or OOM a serving host; the bounds are far above any useful
+// MaxRestarts bounds the restart count a wire job may request. Every
+// restart runs the full algorithm, so without a ceiling one small
+// request could pin a serving host; the bound is far above any useful
 // search budget.
-const (
-	MaxRestarts       = 4096
-	MaxRestartWorkers = 256
-)
+const MaxRestarts = 4096
 
 // MaxTimeoutMS bounds timeout_ms and ttl_ms at 24 hours. The conversion
 // to time.Duration multiplies by a million, so an unbounded field would
@@ -453,8 +447,6 @@ func (j Job) Validate() error {
 		return fmt.Errorf("job %s: \"approx\" must be a finite number in [0, %d], got %g", j.label(), core.MaxApprox, j.Approx)
 	case j.Restarts < 0 || j.Restarts > MaxRestarts:
 		return fmt.Errorf("job %s: \"restarts\" must be in [0, %d], got %d", j.label(), MaxRestarts, j.Restarts)
-	case j.RestartWorkers < 0 || j.RestartWorkers > MaxRestartWorkers:
-		return fmt.Errorf("job %s: \"restart_workers\" must be in [0, %d], got %d", j.label(), MaxRestartWorkers, j.RestartWorkers)
 	case j.TimeoutMS < 0 || j.TimeoutMS > MaxTimeoutMS:
 		return fmt.Errorf("job %s: \"timeout_ms\" must be in [0, %d], got %d", j.label(), MaxTimeoutMS, j.TimeoutMS)
 	case j.Priority < 0 || j.Priority > MaxPriority:
@@ -506,16 +498,12 @@ func (j Job) toEngine(built *taskgraph.Graph) (engine.Job, error) {
 		spec = &battery.Spec{Kind: battery.KindRakhmatov, Beta: j.Beta}
 	}
 	job := engine.Job{
-		Name:     j.Name,
-		Deadline: j.Deadline,
-		Strategy: j.Strategy,
-		Options:  core.Options{Battery: spec, Approx: j.Approx},
-		MultiStart: core.MultiStartOptions{
-			Restarts: j.Restarts,
-			Seed:     j.Seed,
-			Workers:  j.RestartWorkers,
-		},
-		Timeout: time.Duration(j.TimeoutMS) * time.Millisecond,
+		Name:       j.Name,
+		Deadline:   j.Deadline,
+		Strategy:   j.Strategy,
+		Options:    core.Options{Battery: spec, Approx: j.Approx},
+		MultiStart: core.MultiStartOptions{Restarts: j.Restarts, Seed: j.Seed},
+		Timeout:    time.Duration(j.TimeoutMS) * time.Millisecond,
 	}
 	if err := j.Validate(); err != nil {
 		return job, err
@@ -542,8 +530,7 @@ func (j Job) toEngine(built *taskgraph.Graph) (engine.Job, error) {
 }
 
 // FromEngine converts an engine result into its wire form. index is the
-// job's position in the request batch (engine.Result.Index is ignored so
-// cached results, which are stored request-neutral, convert correctly).
+// job's position in the request batch.
 func FromEngine(index int, res engine.Result) Result {
 	out := Result{Index: index, Name: res.Name, Strategy: res.Strategy}
 	if res.Err != nil {

@@ -48,7 +48,7 @@ func TestDecodeJobRejectsBadInput(t *testing.T) {
 		{"negative beta", `{"fixture":"g3","deadline":230,"beta":-0.1}`, "\"beta\""},
 		{"negative restarts", `{"fixture":"g3","deadline":230,"restarts":-1}`, "\"restarts\""},
 		{"restarts over cap", `{"fixture":"g3","deadline":230,"restarts":2000000000}`, "\"restarts\""},
-		{"restart_workers over cap", `{"fixture":"g3","deadline":230,"restart_workers":100000}`, "\"restart_workers\""},
+		{"restart_workers refused", `{"fixture":"g3","deadline":230,"strategy":"multistart","restart_workers":2}`, "unknown field \"restart_workers\""},
 		{"negative timeout_ms", `{"fixture":"g3","deadline":230,"timeout_ms":-1}`, "\"timeout_ms\""},
 		{"timeout_ms over cap", `{"fixture":"g3","deadline":230,"timeout_ms":18446744073710}`, "\"timeout_ms\""},
 		{"ok timeout_ms", `{"fixture":"g3","deadline":230,"timeout_ms":1500}`, ""},
